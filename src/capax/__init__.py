@@ -1,7 +1,6 @@
 """capax: certified two-sided analytic capacity bounds for the sublevel sets
 {|R(z)| >= 1} of rational maps in partial-fraction form."""
 
-from ._kernels import BACKEND
 from .boundary import BoundaryCurve, BoundarySampling, emit_csv, emit_svg, quad_inner, trace
 from .capacity import (
     Ahlfors,
@@ -59,5 +58,8 @@ from .ratmap import (
 )
 
 __version__ = "0.1.0"
+
+# name of the one root-solving path (numerics); benchmark reports record it
+BACKEND = "numpy"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

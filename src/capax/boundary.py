@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, numerics
+from . import numerics
 from .errors import ComponentCountMismatch, NonConvergence, TrackingAmbiguity
 from .ratmap import Goodness, as_fraction, is_n_good
 
@@ -76,7 +76,7 @@ def _refine_gap(left, t0, t1, solver):
     for depth in range(1, _MAX_REFINE_DEPTH + 1):
         m = 1 << depth
         ts = t0 + (t1 - t0) * np.arange(1, m + 1) / m
-        Z, ok = solver(np.exp(1j * ts), left)
+        Z, ok = solver(np.exp(1j * ts))
         if not ok.all():
             continue
         cur = left
@@ -167,11 +167,8 @@ def trace(R, N=DEFAULT_N, check_good=True):
     pc = np.zeros(n + 1, dtype=np.complex128)
     pc[:n] = P
 
-    def solver(ws, warm):
-        Z, ok = _kernels.solve_rows(pc, Q, ws, warm, numerics.DEFAULT_ROOT_TOL, numerics.MAX_SWEEPS)
-        Z = _kernels.polish_rows_general(pc, Q, ws, Z)
-        ok &= _kernels.rows_residual_ok(pc, Q, ws, Z, numerics.DEFAULT_ROOT_TOL).all(axis=1)
-        return Z, ok
+    def solver(ws):
+        return numerics.solve_rows(pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
 
     ts = 2.0 * np.pi * np.arange(N) / N
     # Seeds: the n distinct t = 0 roots, one per component for a good map.
@@ -180,7 +177,7 @@ def trace(R, N=DEFAULT_N, check_good=True):
     # good maps whose residue mass sits close to a neighboring component).
     z0 = R.preimages(1.0)
 
-    Z, ok = solver(np.exp(1j * ts), z0)
+    Z, ok = solver(np.exp(1j * ts))
     if not ok.all():
         bad = int(np.flatnonzero(~ok)[0])
         raise NonConvergence(f"root solve failed at t = {ts[bad]:.6f}")

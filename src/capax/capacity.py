@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .boundary import trace
+from .boundary import DEFAULT_N, trace
 from .errors import EmptyBasis, IllConditioned
 from .ratmap import Goodness, is_n_good
 
@@ -193,7 +193,7 @@ class CapacityBounds:
         return self.rows[-1]
 
 
-def bounds_sequence(R, kmax, N=4096, S_override=None):
+def bounds_sequence(R, kmax, N=DEFAULT_N, S_override=None):
     """Bound rows for k = 1..kmax from a single boundary trace at resolution N.
 
     The full-k Gram is assembled once; every smaller k reuses its leading
@@ -229,7 +229,7 @@ def bounds_sequence(R, kmax, N=4096, S_override=None):
     )
 
 
-def bounds_sequence_adaptive(R, kmax, N=4096, tol=DEFAULT_TOL, n_limit=None):
+def bounds_sequence_adaptive(R, kmax, N=DEFAULT_N, tol=DEFAULT_TOL, n_limit=None):
     """bounds_sequence with resolution doubling until no row moves by more
     than tol (or the node limit is reached)."""
     from .boundary import MAX_N

@@ -24,7 +24,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from . import _kernels, boundary, capacity
+from . import boundary, capacity
 from .closedform import rotational_map
 from .errors import (
     CapaxError,
@@ -171,7 +171,7 @@ class JobConfig:
     map: RationalMapPF
     map_text: str = ""
     kmax: int = 5
-    nodes: int = 4096
+    nodes: int = boundary.DEFAULT_N
     tol: float = capacity.DEFAULT_TOL
     outputs: frozenset = frozenset()
     paths: dict = field(default_factory=dict)
@@ -394,7 +394,7 @@ def example_map(example_id):
     return parse_map(_EXAMPLE_TEXT[example_id])
 
 
-def repro(example_id, kmax=None, nodes=4096):
+def repro(example_id, kmax=None, nodes=boundary.DEFAULT_N):
     """Recompute a built-in example and tabulate against its reference rows.
 
     Returns (bounds, csv_text).  Differences are reported, never asserted;
@@ -420,7 +420,7 @@ def repro(example_id, kmax=None, nodes=4096):
 
 
 def _run_repro(args):
-    bounds, csv_text = repro(args.example, kmax=args.kmax, nodes=args.nodes or 4096)
+    bounds, csv_text = repro(args.example, kmax=args.kmax, nodes=args.nodes or boundary.DEFAULT_N)
     _emit(csv_text, args.out)
     av = capacity.verdict(bounds, tol=args.tol or capacity.DEFAULT_TOL)
     note = " (numerical evidence only)" if args.example == 5 else ""
@@ -448,7 +448,7 @@ def _build_parser():
         sp.add_argument("--map", dest="map_text", help="map expression")
         sp.add_argument("--config", dest="config_path", help="key = value file")
         sp.add_argument("--kmax", type=int, help="largest pole order (default 5)")
-        sp.add_argument("--nodes", type=int, help="trace resolution (default 4096)")
+        sp.add_argument("--nodes", type=int, help=f"trace resolution (default {boundary.DEFAULT_N})")
         sp.add_argument("--tol", type=float, help="verdict tolerance (default 1e-6)")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--svg", help="SVG output path (trace only)")
@@ -464,7 +464,6 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    _kernels.configure_threads()
     try:
         if args.command == "repro":
             return _run_repro(args)

@@ -4,15 +4,18 @@ Polynomials are plain complex128 ndarrays in ascending coefficient order,
 c[0] + c[1] z + ... + c[d] z^d, kept trimmed so the leading coefficient of a
 nonzero polynomial is nonzero.  That array convention is the public contract;
 everything here accepts any sequence and returns trimmed arrays.
+
+Roots come from companion-matrix eigenvalues, which are backward stable
+(Edelman & Murakami, Math. Comp. 64, 1995), followed by Newton polishing.
+The same path serves one polynomial (roots) and a whole family
+P(z) - w Q(z) in one batched LAPACK call (solve_rows).
 """
 
 import numpy as np
 
-from . import _kernels
 from .errors import NonConvergence
 
 DEFAULT_ROOT_TOL = 1e-12
-MAX_SWEEPS = 200
 
 # two computed roots closer than this may legitimately be one multiple root
 CLUSTER_SEP = 1e-8
@@ -79,23 +82,81 @@ def poly_eval(c, z):
     return out
 
 
+def residual_bound(cabs_max, z, degree, tol):
+    """Documented acceptance bound tol*(1+max|c|)*(1+|z|)^degree."""
+    return tol * (1.0 + cabs_max) * (1.0 + np.abs(z)) ** degree
+
+
 def residual_ok(c, r, tol):
     """Backward-style acceptance: |p(r)| <= tol*(1+max|c|)*(1+|r|)^deg."""
     p = as_poly(c)
-    bound = _kernels.residual_bound(np.abs(p).max(), r, p.size - 1, tol)
+    bound = residual_bound(np.abs(p).max(), r, p.size - 1, tol)
     return np.abs(poly_eval(p, r)) <= bound
 
 
-def roots(c, tol=DEFAULT_ROOT_TOL, max_sweeps=MAX_SWEEPS):
+def _eval_rows(C, Z):
+    """Horner on row-wise coefficients. C: (M, d+1), Z: (M, n) -> p, dp."""
+    p = np.zeros_like(Z)
+    dp = np.zeros_like(Z)
+    for k in range(C.shape[1] - 1, -1, -1):
+        dp = dp * Z + p
+        p = p * Z + C[:, k : k + 1]
+    return p, dp
+
+
+def _polish_rows(C, Z, iters=3):
+    """Newton-polish each root of each row, keeping a step only when the
+    residual actually drops."""
+    p, dp = _eval_rows(C, Z)
+    for _ in range(iters):
+        dps = np.where(dp == 0, 1.0, dp)
+        Zn = Z - p / dps
+        pn, dpn = _eval_rows(C, Zn)
+        better = np.abs(pn) < np.abs(p)
+        Z = np.where(better, Zn, Z)
+        p = np.where(better, pn, p)
+        dp = np.where(better, dpn, dp)
+    return Z
+
+
+def _companion_rows(C):
+    """Companion matrices for monic rows C (M, n+1) with C[:, n] == 1."""
+    M = C.shape[0]
+    n = C.shape[1] - 1
+    A = np.zeros((M, n, n), np.complex128)
+    if n > 1:
+        i = np.arange(n - 1)
+        A[:, i + 1, i] = 1.0
+    A[:, :, n - 1] = -C[:, :n]
+    return A
+
+
+def solve_rows(pc, qc, ws, tol):
+    """Roots of pc - w*qc for every w in ws, with qc monic of degree n and
+    pc of lower degree, padded to length n+1.
+
+    Returns (Z, ok): Z (len(ws), n) in eigensolver order, and ok[r] true when
+    every root of row r meets the residual bound of that row.
+    """
+    # roots of pc - w*qc == roots of the monic qc - pc/w (leading coeff -w)
+    monic = qc[None, :] - pc[None, :] / ws[:, None]
+    Z = _polish_rows(monic, np.linalg.eigvals(_companion_rows(monic)))
+    # a last polish and the check on the rows as given, not their monic form
+    C = pc[None, :] - ws[:, None] * qc[None, :]
+    Z = _polish_rows(C, Z, 2)
+    p, _ = _eval_rows(C, Z)
+    bound = residual_bound(np.abs(C).max(axis=1, keepdims=True), Z, C.shape[1] - 1, tol)
+    return Z, (np.abs(p) <= bound).all(axis=1)
+
+
+def roots(c, tol=DEFAULT_ROOT_TOL):
     """All complex roots of a degree >= 1 polynomial.
 
-    Backed by simultaneous Ehrlich-Aberth iteration (numba backend) or
-    companion-matrix eigenvalues (numpy backend), Newton-polished either way.
+    Companion-matrix eigenvalues of the monic polynomial, Newton-polished.
     Multiple or clustered roots come back as nearly repeated values; no
     deflation is attempted below a separation of CLUSTER_SEP.
 
-    Raises NonConvergence when any root misses the documented residual bound
-    within the sweep budget.
+    Raises NonConvergence when any root misses the documented residual bound.
     """
     p = poly_trim(c)
     d = poly_degree(p)
@@ -103,7 +164,8 @@ def roots(c, tol=DEFAULT_ROOT_TOL, max_sweeps=MAX_SWEEPS):
         raise ValueError("root finding needs degree >= 1")
     if not np.all(np.isfinite(p)):
         raise ValueError("polynomial coefficients must be finite")
-    r, _ = _kernels.roots_single(p, tol, max_sweeps)
+    cm = (p / p[-1])[None, :]
+    r = _polish_rows(cm, np.linalg.eigvals(_companion_rows(cm)))[0]
     bad = ~residual_ok(p, r, tol)
     if np.any(bad):
         worst = np.abs(poly_eval(p, r[bad])).max()

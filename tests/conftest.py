@@ -1,9 +1,7 @@
-"""Shared fixtures and random map generators for the test suite."""
+"""Random map generators shared by the test suite."""
 
 import numpy as np
-import pytest
 
-from capax import _kernels
 from capax.ratmap import RationalMapPF, critical_data
 
 
@@ -60,9 +58,3 @@ def random_not_good_map(rng, n, box=2.0, min_sep=0.4):
     poles = random_poles(rng, n, box, min_sep)
     residues = rng.uniform(0.1, 1.0, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
     return _scaled_to_margin(residues, poles, rng, 1.15, 2.0)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # Compile-once so no individual test pays the JIT cost.
-    _kernels.warmup()

@@ -1,8 +1,14 @@
 """Map grammar, config files, subcommands, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import capax
 from capax import capacity, cli
 from capax.cli import format_map, load_config, main, parse_map
 from capax.errors import InvalidMap, ParseError
@@ -78,6 +84,24 @@ def test_check_exit_codes(capsys):
     assert main(["check", "--map", "5/(z)+5/(z-0.1)"]) == 2
     err = capsys.readouterr().err
     assert "not-good" in err
+
+
+@pytest.mark.parametrize(
+    "var, value", [("CAPAX_BACKEND", "numba"), ("CAPAX_THREADS", "-1")]
+)
+def test_retired_env_knobs_are_ignored(var, value):
+    # These once selected a root-solving backend and its thread count; they
+    # failed at import or startup, so only a fresh interpreter sees them.
+    src = str(Path(capax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, **{var: value})
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from capax.cli import main; sys.exit(main())",
+         "check", "--map", GOOD_TEXT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "goodness: good" in proc.stdout
+    assert "sum_residues: 0.5" in proc.stdout
 
 
 def test_parse_failure_exits_2(capsys):

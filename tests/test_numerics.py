@@ -97,6 +97,12 @@ def test_nonconvergence_reports_residual():
         numerics.roots([-0.9, -0.5, 1.0], tol=0.0)
 
 
+def test_residual_bound_scales():
+    b1 = numerics.residual_bound(1.0, np.array([1.0 + 0j]), 3, 1e-12)
+    b2 = numerics.residual_bound(1.0, np.array([2.0 + 0j]), 3, 1e-12)
+    assert b2[0] > b1[0] > 0
+
+
 def test_residual_contract_on_returned_roots():
     rng = np.random.default_rng(11)
     c = rng.uniform(-1, 1, size=10) + 1j * rng.uniform(-1, 1, size=10)
