@@ -4,9 +4,11 @@ For a good map the level set splits into n analytic Jordan curves, one around
 each pole, and R restricted to each curve is a bijection onto the unit circle.
 Each curve is therefore parametrized by t in [0, 2pi) through R(z(t)) = e^{it},
 and all n curves are sampled on one uniform t grid by following the n roots of
-P(z) - e^{it} Q(z) as t advances.  Continuation uses nearest-neighbor matching
-between consecutive steps with a factor-2 stability margin; a failed match is
-retried on locally halved steps before giving up.
+P(z) - e^{it} Q(z) as t advances.  Continuation matches every hop between
+consecutive steps in one batch, in the solver's raw root order, by nearest
+neighbor with a factor-2 stability margin; a failed hop is retried on locally
+halved steps before giving up.  The hop permutations are then composed into
+the ordering of each step.
 
 Uniform-grid (periodic trapezoid) sums over these analytic curves converge
 spectrally, so moderate N already yields integrals at roundoff level.
@@ -49,45 +51,65 @@ class BoundarySampling:
         return z, lam
 
 
-def _match(prev, new):
-    """Nearest-neighbor assignment prev[i] -> new[perm[i]].
+def _match_rows(prev, new):
+    """Nearest-neighbor assignments prev[m, i] -> new[m, perm[m, i]] for a
+    batch of (M, n) root sets.
 
-    Returns None unless the assignment is injective and every nearest
-    distance beats the second-nearest by STABILITY_RATIO.
+    Returns (perm, ok).  ok[m] is False unless row m's assignment is
+    injective and every nearest distance beats the second-nearest by
+    STABILITY_RATIO.  Each row of a distance matrix is judged on its own, so
+    reordering prev[m] only reorders perm[m].
     """
-    D = np.abs(prev[:, None] - new[None, :])
-    perm = D.argmin(axis=1)
-    if np.unique(perm).size != perm.size:
-        return None
-    if perm.size > 1:
-        rows = np.arange(perm.size)
-        d1 = D[rows, perm]
-        D2 = D.copy()
-        D2[rows, perm] = np.inf
-        d2 = D2.min(axis=1)
-        if np.any(d2 < STABILITY_RATIO * d1):
-            return None
-    return perm
+    D = np.abs(prev[:, :, None] - new[:, None, :])
+    perm = D.argmin(axis=2)
+    s = np.sort(perm, axis=1)
+    ok = (s[:, 1:] != s[:, :-1]).all(axis=1)
+    if perm.shape[1] > 1:
+        idx = perm[:, :, None]
+        d1 = np.take_along_axis(D, idx, axis=2)[:, :, 0]
+        np.put_along_axis(D, idx, np.inf, axis=2)
+        d2 = D.min(axis=2)
+        ok &= ~(d2 < STABILITY_RATIO * d1).any(axis=1)
+    return perm, ok
+
+
+def _match(prev, new):
+    """One-row _match_rows: the permutation, or None if it is not stable."""
+    perm, ok = _match_rows(prev[None], new[None])
+    return perm[0] if ok[0] else None
+
+
+def _compose(P):
+    """Prefix compositions C[i] = P[i][P[i-1][...P[0]]] of the (M, n)
+    permutation rows P, by log-depth doubling."""
+    C = P.copy()
+    s = 1
+    while s < len(C):
+        C[s:] = np.take_along_axis(C[s:], C[:-s], axis=1)
+        s *= 2
+    return C
+
+
+def _walk(start, Z):
+    """Match start -> Z[0] and every hop Z[r-1] -> Z[r] in one batch.
+
+    Returns (perm, ok) per hop; each hop is matched in raw solver order.
+    """
+    return _match_rows(np.concatenate((start[None], Z[:-1])), Z)
 
 
 def _refine_gap(left, t0, t1, solver):
     """Re-walk (t0, t1] on successively halved substeps until every hop
-    matches stably; returns the ordered roots at t1."""
+    matches stably; returns the roots at t1 in the order of left."""
     for depth in range(1, _MAX_REFINE_DEPTH + 1):
         m = 1 << depth
         ts = t0 + (t1 - t0) * np.arange(1, m + 1) / m
-        Z, ok = solver(np.exp(1j * ts))
-        if not ok.all():
+        Z, solved = solver(np.exp(1j * ts))
+        if not solved.all():
             continue
-        cur = left
-        for r in range(m):
-            perm = _match(cur, Z[r])
-            if perm is None:
-                cur = None
-                break
-            cur = Z[r][perm]
-        if cur is not None:
-            return cur
+        perm, ok = _walk(left, Z)
+        if ok.all():
+            return Z[-1][_compose(perm)[-1]]
     raise TrackingAmbiguity(
         f"continuation between t = {t0:.6f} and t = {t1:.6f} stayed ambiguous "
         f"after {1 << _MAX_REFINE_DEPTH} substeps; double N"
@@ -96,23 +118,24 @@ def _refine_gap(left, t0, t1, solver):
 
 def _order_chain(Z, ts, z0, solver):
     """Impose continuity in t on per-step root sets.  Returns the ordered
-    (N, n) array; raises on irreparable ambiguity or nontrivial monodromy."""
-    N, n = Z.shape
-    out = np.empty_like(Z)
-    perm = _match(z0, Z[0])
-    if perm is None:
+    (N, n) array; raises on irreparable ambiguity or nontrivial monodromy.
+
+    Every hop is matched in raw solver order at once; only the hops that
+    fail go to _refine_gap, and the hop permutations are then composed.
+    """
+    n = Z.shape[1]
+    perm, ok = _walk(z0, Z)
+    if not ok[0]:
         raise TrackingAmbiguity("seed roots did not match the first step")
-    out[0] = Z[0][perm]
-    for i in range(1, N):
-        perm = _match(out[i - 1], Z[i])
-        if perm is None:
-            refined = _refine_gap(out[i - 1], ts[i - 1], ts[i], solver)
-            perm = _match(refined, Z[i])
-            if perm is None:
-                raise TrackingAmbiguity(
-                    f"step {i} (t = {ts[i]:.6f}) remained ambiguous after refinement"
-                )
-        out[i] = Z[i][perm]
+    for i in np.flatnonzero(~ok):
+        refined = _refine_gap(Z[i - 1], ts[i - 1], ts[i], solver)
+        p = _match(refined, Z[i])
+        if p is None:
+            raise TrackingAmbiguity(
+                f"step {i} (t = {ts[i]:.6f}) remained ambiguous after refinement"
+            )
+        perm[i] = p
+    out = np.take_along_axis(Z, _compose(perm), axis=1)
     # closing the loop from t_{N-1} to 2pi must restore the seed assignment
     wrap = _match(out[-1], out[0])
     if wrap is None:

@@ -166,6 +166,16 @@ def format_map(R):
     return "".join(parts)
 
 
+def validate_params(kmax, nodes, tol):
+    """The argument checks every subcommand applies; ValueError on failure."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    if nodes < 64 or nodes > boundary.MAX_N or (nodes & (nodes - 1)) != 0:
+        raise ValueError(f"nodes must be a power of two in [64, {boundary.MAX_N}]")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+
+
 @dataclass
 class JobConfig:
     map: RationalMapPF
@@ -177,13 +187,7 @@ class JobConfig:
     paths: dict = field(default_factory=dict)
 
     def validate(self):
-        if self.kmax < 1:
-            raise ValueError("kmax must be >= 1")
-        N = self.nodes
-        if N < 64 or N > boundary.MAX_N or (N & (N - 1)) != 0:
-            raise ValueError(f"nodes must be a power of two in [64, {boundary.MAX_N}]")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        validate_params(self.kmax, self.nodes, self.tol)
 
 
 def load_config(path):
@@ -420,9 +424,13 @@ def repro(example_id, kmax=None, nodes=boundary.DEFAULT_N):
 
 
 def _run_repro(args):
-    bounds, csv_text = repro(args.example, kmax=args.kmax, nodes=args.nodes or boundary.DEFAULT_N)
+    kmax = max(REFERENCE_BOUNDS[args.example]) if args.kmax is None else args.kmax
+    nodes = boundary.DEFAULT_N if args.nodes is None else args.nodes
+    tol = capacity.DEFAULT_TOL if args.tol is None else args.tol
+    validate_params(kmax, nodes, tol)
+    bounds, csv_text = repro(args.example, kmax=kmax, nodes=nodes)
     _emit(csv_text, args.out)
-    av = capacity.verdict(bounds, tol=args.tol or capacity.DEFAULT_TOL)
+    av = capacity.verdict(bounds, tol=tol)
     note = " (numerical evidence only)" if args.example == 5 else ""
     sys.stderr.write(
         f"example {args.example}: verdict {av.status} at k={av.k_used}, "
@@ -458,7 +466,6 @@ def _build_parser():
     rp.add_argument("--nodes", type=int)
     rp.add_argument("--tol", type=float)
     rp.add_argument("--out")
-    rp.add_argument("--svg")
     return p
 
 

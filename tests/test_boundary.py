@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from capax import boundary
-from capax.errors import ComponentCountMismatch
+from capax.cli import example_map, parse_map
+from capax.errors import ComponentCountMismatch, TrackingAmbiguity
 from capax.ratmap import RationalMapPF
 
 from conftest import random_good_map, random_not_good_map
@@ -149,3 +150,166 @@ def test_svg_export_shape():
     for chunk in text.split("<polyline")[1:]:
         pts = chunk.split('points="')[1].split('"')[0].split()
         assert pts[0] == pts[-1]
+
+
+# Sequential continuation: each step is matched against the already ordered
+# previous step.  The batched walk in boundary must reproduce it bit for bit.
+
+
+def _seq_match(prev, new):
+    D = np.abs(prev[:, None] - new[None, :])
+    perm = D.argmin(axis=1)
+    if np.unique(perm).size != perm.size:
+        return None
+    if perm.size > 1:
+        rows = np.arange(perm.size)
+        d1 = D[rows, perm]
+        D2 = D.copy()
+        D2[rows, perm] = np.inf
+        d2 = D2.min(axis=1)
+        if np.any(d2 < boundary.STABILITY_RATIO * d1):
+            return None
+    return perm
+
+
+def _seq_refine_gap(left, t0, t1, solver):
+    for depth in range(1, boundary._MAX_REFINE_DEPTH + 1):
+        m = 1 << depth
+        ts = t0 + (t1 - t0) * np.arange(1, m + 1) / m
+        Z, ok = solver(np.exp(1j * ts))
+        if not ok.all():
+            continue
+        cur = left
+        for r in range(m):
+            perm = _seq_match(cur, Z[r])
+            if perm is None:
+                cur = None
+                break
+            cur = Z[r][perm]
+        if cur is not None:
+            return cur
+    raise TrackingAmbiguity(
+        f"continuation between t = {t0:.6f} and t = {t1:.6f} stayed ambiguous "
+        f"after {1 << boundary._MAX_REFINE_DEPTH} substeps; double N"
+    )
+
+
+def _seq_order_chain(Z, ts, z0, solver):
+    N, n = Z.shape
+    out = np.empty_like(Z)
+    perm = _seq_match(z0, Z[0])
+    if perm is None:
+        raise TrackingAmbiguity("seed roots did not match the first step")
+    out[0] = Z[0][perm]
+    for i in range(1, N):
+        perm = _seq_match(out[i - 1], Z[i])
+        if perm is None:
+            refined = _seq_refine_gap(out[i - 1], ts[i - 1], ts[i], solver)
+            perm = _seq_match(refined, Z[i])
+            if perm is None:
+                raise TrackingAmbiguity(
+                    f"step {i} (t = {ts[i]:.6f}) remained ambiguous after refinement"
+                )
+        out[i] = Z[i][perm]
+    wrap = _seq_match(out[-1], out[0])
+    if wrap is None:
+        refined = _seq_refine_gap(out[-1], ts[-1], 2.0 * np.pi, solver)
+        wrap = _seq_match(refined, out[0])
+        if wrap is None:
+            raise TrackingAmbiguity("closing step remained ambiguous after refinement")
+    if np.any(wrap != np.arange(n)):
+        raise ComponentCountMismatch("tracking around the full circle permuted the roots")
+    return out
+
+
+class _Captured(Exception):
+    pass
+
+
+def _chain_inputs(monkeypatch, R, N):
+    """The (Z, ts, z0, solver) that trace hands to _order_chain."""
+
+    def capture(*args):
+        raise _Captured(args)
+
+    with monkeypatch.context() as m:
+        m.setattr(boundary, "_order_chain", capture)
+        with pytest.raises(_Captured) as exc:
+            boundary.trace(R, N=N)
+    return exc.value.args[0]
+
+
+# A near-marginal three-pole map (max |critical value| in [0.999, 0.9999])
+# with exactly one hop that needs refinement at N = 4096.
+MARGINAL_REFINED = (
+    "1.0510999226056978/(z-(0.50829346734711445-1.8812284896496094i))"
+    "+0.77500357890441585/(z+(0.51821207356101384-1.6579777844243604i))"
+    "+0.62825875915628793/(z-(1.6631038947789429-0.20933768418389676i))"
+)
+# A near-marginal map whose continuation stays ambiguous at N = 256.
+MARGINAL_AMBIGUOUS = (
+    "0.11120784373548635/(z-(0.16865095314031864+1.9968914926305823i))"
+    "+0.38932848903285017/(z+(1.0690222007712338+0.54205289817735158i))"
+    "+0.25684211445241356/(z+(0.95815962127432908+1.1955315579939034i))"
+)
+
+
+@pytest.mark.parametrize(
+    "R, refined_hops",
+    [
+        pytest.param(lambda: example_map(1), 0, id="example1"),
+        pytest.param(lambda: example_map(6), 0, id="example6"),
+        pytest.param(lambda: parse_map(MARGINAL_REFINED), 1, id="marginal-refined"),
+    ],
+)
+def test_batched_chain_matches_sequential_walk(monkeypatch, R, refined_hops):
+    args = _chain_inputs(monkeypatch, R(), boundary.DEFAULT_N)
+    calls = []
+    real_refine = boundary._refine_gap
+
+    def counting_refine(*a):
+        calls.append(a)
+        return real_refine(*a)
+
+    monkeypatch.setattr(boundary, "_refine_gap", counting_refine)
+    assert np.array_equal(boundary._order_chain(*args), _seq_order_chain(*args))
+    assert len(calls) == refined_hops
+
+
+def test_batched_chain_raises_like_sequential_walk(monkeypatch):
+    args = _chain_inputs(monkeypatch, parse_map(MARGINAL_AMBIGUOUS), 256)
+    with pytest.raises(TrackingAmbiguity) as batched:
+        boundary._order_chain(*args)
+    with pytest.raises(TrackingAmbiguity) as sequential:
+        _seq_order_chain(*args)
+    assert str(batched.value) == str(sequential.value)
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 4096])
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_compose_matches_prefix_loop(M, n):
+    rng = np.random.default_rng(1000 * M + n)
+    P = np.array([rng.permutation(n) for _ in range(M)])
+    expect = np.empty_like(P)
+    cur = np.arange(n)
+    for i in range(M):
+        cur = P[i][cur]
+        expect[i] = cur
+    assert np.array_equal(boundary._compose(P), expect)
+
+
+def test_match_rows_rejects_only_the_bad_rows():
+    rows = [
+        ([0, 1], [1.01, 0.01], [1, 0]),  # clean swap
+        ([0, 0.1], [0.04, 5], None),  # both nearest new[0]: not injective
+        ([0, 1j], [0.02, 1.01j], [0, 1]),  # clean identity
+        ([0, 3], [-1, 1.5], None),  # second-nearest 1.5 < 2 x nearest 1
+        ([2, -2], [-2.1, 2.1], [1, 0]),  # clean swap
+    ]
+    prev = np.array([r[0] for r in rows], dtype=np.complex128)
+    new = np.array([r[1] for r in rows], dtype=np.complex128)
+    perm, ok = boundary._match_rows(prev, new)
+    assert ok.tolist() == [r[2] is not None for r in rows]
+    for m, (_, _, expect) in enumerate(rows):
+        if expect is not None:
+            assert perm[m].tolist() == expect

@@ -216,6 +216,41 @@ def test_repro_rejects_unknown_example():
         main(["repro", "9"])
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "-1", "tol must be positive"),
+        ("--tol", "0", "tol must be positive"),
+        ("--nodes", "0", "nodes must be a power of two"),
+        ("--kmax", "0", "kmax must be >= 1"),
+    ],
+)
+def test_repro_validates_like_other_subcommands(capsys, flag, value, message):
+    assert main(["repro", "1", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_repro_has_no_svg_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["repro", "1", "--svg", str(tmp_path / "curves.svg")])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
+
+
+def test_python_dash_m_capax():
+    src = str(Path(capax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "capax", "check", "--map", GOOD_TEXT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "goodness: good" in proc.stdout
+
+
 def test_example_maps_all_good():
     for ex in range(1, 7):
         R = cli.example_map(ex)
