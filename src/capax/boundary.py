@@ -4,11 +4,18 @@ For a good map the level set splits into n analytic Jordan curves, one around
 each pole, and R restricted to each curve is a bijection onto the unit circle.
 Each curve is therefore parametrized by t in [0, 2pi) through R(z(t)) = e^{it},
 and all n curves are sampled on one uniform t grid by following the n roots of
-P(z) - e^{it} Q(z) as t advances.  Continuation matches every hop between
-consecutive steps in one batch, in the solver's raw root order, by nearest
-neighbor with a factor-2 stability margin; a failed hop is retried on locally
-halved steps before giving up.  The hop permutations are then composed into
-the ordering of each step.
+P(z) - e^{it} Q(z) as t advances.
+
+Only every S-th node (S = 8 once N >= 512) is eigensolved.  These anchors are
+ordered by continuation: every hop between consecutive anchors is matched in
+one batch, in the solver's raw root order, by nearest neighbor with a
+factor-2 stability margin; a failed hop is retried on locally halved steps
+before giving up, and the hop permutations are then composed.  The nodes
+between two anchors are filled by a tangent predictor from the left anchor
+and Newton polishing.  A block (an anchor, its fill nodes and the next
+anchor) is kept when every fill root converged and every hop inside it is a
+stable identity match; otherwise its fill nodes are eigensolved and walked
+one grid step at a time, exactly as if every node had been eigensolved.
 
 Uniform-grid (periodic trapezoid) sums over these analytic curves converge
 spectrally, so moderate N already yields integrals at roundoff level.
@@ -27,6 +34,7 @@ MAX_N = 1 << 16
 NODE_RESIDUAL_TOL = 1e-9
 STABILITY_RATIO = 2.0
 _MAX_REFINE_DEPTH = 6
+_ANCHOR_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -98,10 +106,11 @@ def _walk(start, Z):
     return _match_rows(np.concatenate((start[None], Z[:-1])), Z)
 
 
-def _refine_gap(left, t0, t1, solver):
-    """Re-walk (t0, t1] on successively halved substeps until every hop
-    matches stably; returns the roots at t1 in the order of left."""
-    for depth in range(1, _MAX_REFINE_DEPTH + 1):
+def _refine_gap(left, t0, t1, solver, max_depth=_MAX_REFINE_DEPTH):
+    """Re-walk (t0, t1] on successively halved substeps, at most
+    2**max_depth, until every hop matches stably; returns the roots at t1 in
+    the order of left."""
+    for depth in range(1, max_depth + 1):
         m = 1 << depth
         ts = t0 + (t1 - t0) * np.arange(1, m + 1) / m
         Z, solved = solver(np.exp(1j * ts))
@@ -112,34 +121,43 @@ def _refine_gap(left, t0, t1, solver):
             return Z[-1][_compose(perm)[-1]]
     raise TrackingAmbiguity(
         f"continuation between t = {t0:.6f} and t = {t1:.6f} stayed ambiguous "
-        f"after {1 << _MAX_REFINE_DEPTH} substeps; double N"
+        f"after {1 << max_depth} substeps; double N"
     )
 
 
-def _order_chain(Z, ts, z0, solver):
-    """Impose continuity in t on per-step root sets.  Returns the ordered
-    (N, n) array; raises on irreparable ambiguity or nontrivial monodromy.
+def _continue(left, t0, Z, ts, solver, max_depth=_MAX_REFINE_DEPTH):
+    """Order the raw root sets Z at ts by continuation from the ordered roots
+    left at t0 < ts[0].
 
     Every hop is matched in raw solver order at once; only the hops that
     fail go to _refine_gap, and the hop permutations are then composed.
     """
-    n = Z.shape[1]
-    perm, ok = _walk(z0, Z)
-    if not ok[0]:
-        raise TrackingAmbiguity("seed roots did not match the first step")
+    perm, ok = _walk(left, Z)
+    lefts = np.concatenate((left[None], Z[:-1]))
+    t_lefts = np.concatenate(([t0], ts[:-1]))
     for i in np.flatnonzero(~ok):
-        refined = _refine_gap(Z[i - 1], ts[i - 1], ts[i], solver)
+        refined = _refine_gap(lefts[i], t_lefts[i], ts[i], solver, max_depth)
         p = _match(refined, Z[i])
         if p is None:
             raise TrackingAmbiguity(
                 f"step {i} (t = {ts[i]:.6f}) remained ambiguous after refinement"
             )
         perm[i] = p
-    out = np.take_along_axis(Z, _compose(perm), axis=1)
+    return np.take_along_axis(Z, _compose(perm), axis=1)
+
+
+def _order_chain(Z, ts, z0, solver, max_depth=_MAX_REFINE_DEPTH):
+    """Impose continuity in t on per-step root sets.  Returns the ordered
+    (N, n) array; raises on irreparable ambiguity or nontrivial monodromy.
+    """
+    n = Z.shape[1]
+    if _match(z0, Z[0]) is None:
+        raise TrackingAmbiguity("seed roots did not match the first step")
+    out = _continue(z0, ts[0], Z, ts, solver, max_depth)
     # closing the loop from t_{N-1} to 2pi must restore the seed assignment
     wrap = _match(out[-1], out[0])
     if wrap is None:
-        refined = _refine_gap(out[-1], ts[-1], 2.0 * np.pi, solver)
+        refined = _refine_gap(out[-1], ts[-1], 2.0 * np.pi, solver, max_depth)
         wrap = _match(refined, out[0])
         if wrap is None:
             raise TrackingAmbiguity("closing step remained ambiguous after refinement")
@@ -149,6 +167,54 @@ def _order_chain(Z, ts, z0, solver):
             "the level set does not split into n degree-1 curves"
         )
     return out
+
+
+def _fill(R, Za, ts, polish):
+    """Nodes of the grid ts between the ordered anchor rows Za = Z[::S].
+
+    Each fill node is predicted from its left anchor along the tangent
+    dz/dt = i e^{it} / R'(z) and then polished.  Returns the (N, n) nodes and,
+    per block (an anchor, its S - 1 fill rows and the next anchor), whether
+    every fill row converged and every hop of the block is a stable identity
+    match, which is what the full-grid walk would have found.
+    """
+    N, (A, n) = ts.size, Za.shape
+    S = N // A
+    slope = 1j * np.exp(1j * ts[::S])[:, None] / R.derivative(Za)
+    Z = (Za[:, None] + ts[None, :S, None] * slope[:, None]).reshape(N, n)
+    fill = np.arange(N) % S != 0
+    Z[fill], converged = polish(np.exp(1j * ts[fill]), Z[fill])
+    perm, stable = _match_rows(Z, np.roll(Z, -1, axis=0))
+    good = stable & (perm == np.arange(n)).all(axis=1)
+    good[fill] &= converged
+    return Z, good.reshape(A, S).all(axis=1)
+
+
+def _refill(Z, ts, a, Zb, solver):
+    """Replace the fill rows after anchor row a by the eigensolved root sets
+    Zb, ordered by the full-grid walk; that walk must land on the next anchor
+    in the anchor chain's order."""
+    N, n = Z.shape
+    b = a + len(Zb)
+    Z[a + 1 : b + 1] = _continue(Z[a], ts[a], Zb, ts[a + 1 : b + 1], solver)
+    nxt = Z[(b + 1) % N]
+    p = _match(Z[b], nxt)
+    if p is None:
+        p = _match(_refine_gap(Z[b], ts[b], 2.0 * np.pi * (b + 1) / N, solver), nxt)
+    if p is None or np.any(p != np.arange(n)):
+        raise TrackingAmbiguity(
+            f"the grid walk from t = {ts[a]:.6f} did not reach the next anchor "
+            "in the anchor chain's order"
+        )
+
+
+def _solve_grid(solver, ts):
+    """Raw root sets at every t in ts; NonConvergence at the first failure."""
+    Z, ok = solver(np.exp(1j * ts))
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok)[0])
+        raise NonConvergence(f"root solve failed at t = {ts[bad]:.6f}")
+    return Z
 
 
 def _windings(z_curve, points):
@@ -193,18 +259,28 @@ def trace(R, N=DEFAULT_N, check_good=True):
     def solver(ws):
         return numerics.solve_rows(pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
 
+    def polish(ws, Z):
+        return numerics.polish_rows(pc, Q, ws, Z, numerics.DEFAULT_ROOT_TOL)
+
     ts = 2.0 * np.pi * np.arange(N) / N
+    S = min(_ANCHOR_STRIDE, N // 64)
     # Seeds: the n distinct t = 0 roots, one per component for a good map.
     # Which root lies on which component is settled after tracing by winding
     # numbers; no geometric heuristic here (nearest-pole grouping misfires on
     # good maps whose residue mass sits close to a neighboring component).
     z0 = R.preimages(1.0)
 
-    Z, ok = solver(np.exp(1j * ts))
-    if not ok.all():
-        bad = int(np.flatnonzero(~ok)[0])
-        raise NonConvergence(f"root solve failed at t = {ts[bad]:.6f}")
-    Z = _order_chain(Z, ts, z0, solver)
+    # the anchor chain refines down to the same finest substep 2pi/(64N)
+    depth = _MAX_REFINE_DEPTH + S.bit_length() - 1
+    Z = _order_chain(_solve_grid(solver, ts[::S]), ts[::S], z0, solver, depth)
+    if S > 1:
+        Z, block_ok = _fill(R, Z, ts, polish)
+        bad = np.flatnonzero(~block_ok)
+        if bad.size:
+            rows = (bad[:, None] * S + np.arange(1, S)).ravel()
+            Zb = _solve_grid(solver, ts[rows]).reshape(bad.size, S - 1, n)
+            for j, Zj in zip(bad, Zb):
+                _refill(Z, ts, j * S, Zj, solver)
 
     resid = np.abs(np.abs(_eval_many(R, Z)) - 1.0).max()
     if resid > NODE_RESIDUAL_TOL:

@@ -24,7 +24,6 @@ import scipy.linalg
 
 from .boundary import DEFAULT_N, trace
 from .errors import EmptyBasis, IllConditioned
-from .ratmap import Goodness, is_n_good
 
 COND_LIMIT = 1e12
 RIDGE_REL = 1e-14
@@ -106,8 +105,9 @@ def _check_poles_inside(sampling, S):
     for p in S:
         if np.abs(z_all - p).min() <= 1e-9:
             raise ValueError(f"basis pole {p} sits on the sampled boundary")
-        total = sum(abs(int(_windings(c.z, [p])[0])) for c in sampling.curves)
-        if total != 1:
+    total = sum(np.abs(_windings(c.z, S)) for c in sampling.curves)
+    for p, count in zip(S, total):
+        if count != 1:
             raise ValueError(
                 f"basis pole {p} is not inside exactly one boundary component"
             )

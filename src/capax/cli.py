@@ -459,7 +459,8 @@ def _build_parser():
         sp.add_argument("--nodes", type=int, help=f"trace resolution (default {boundary.DEFAULT_N})")
         sp.add_argument("--tol", type=float, help="verdict tolerance (default 1e-6)")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--svg", help="SVG output path (trace only)")
+        if name == "trace":
+            sp.add_argument("--svg", help="SVG output path")
     rp = sub.add_parser("repro", help="rerun a built-in example against reference values")
     rp.add_argument("example", type=int, choices=range(1, 7))
     rp.add_argument("--kmax", type=int)

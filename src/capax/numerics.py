@@ -8,7 +8,9 @@ everything here accepts any sequence and returns trimmed arrays.
 Roots come from companion-matrix eigenvalues, which are backward stable
 (Edelman & Murakami, Math. Comp. 64, 1995), followed by Newton polishing.
 The same path serves one polynomial (roots) and a whole family
-P(z) - w Q(z) in one batched LAPACK call (solve_rows).
+P(z) - w Q(z) in one batched LAPACK call (solve_rows).  The polish-and-check
+tail of solve_rows is also open to root guesses from elsewhere (polish_rows),
+so every accepted root passes the same residual test.
 """
 
 import numpy as np
@@ -140,7 +142,19 @@ def solve_rows(pc, qc, ws, tol):
     """
     # roots of pc - w*qc == roots of the monic qc - pc/w (leading coeff -w)
     monic = qc[None, :] - pc[None, :] / ws[:, None]
-    Z = _polish_rows(monic, np.linalg.eigvals(_companion_rows(monic)))
+    return polish_rows(pc, qc, ws, np.linalg.eigvals(_companion_rows(monic)), tol)
+
+
+def polish_rows(pc, qc, ws, Z, tol):
+    """Newton-polish guesses Z (len(ws), n) for the roots of pc - w*qc and
+    check them; the arguments are those of solve_rows.
+
+    Returns (Z, ok) with ok[r] true when every root of row r meets the
+    residual bound of that row.  A row whose guesses drifted onto the same
+    root can pass; callers that need distinct roots check that themselves.
+    """
+    monic = qc[None, :] - pc[None, :] / ws[:, None]
+    Z = _polish_rows(monic, Z)
     # a last polish and the check on the rows as given, not their monic form
     C = pc[None, :] - ws[:, None] * qc[None, :]
     Z = _polish_rows(C, Z, 2)

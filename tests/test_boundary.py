@@ -1,12 +1,14 @@
 """Level-set tracing, quadrature nodes, and exports."""
 
+import types
+
 import numpy as np
 import pytest
 
-from capax import boundary
+from capax import boundary, numerics
 from capax.cli import example_map, parse_map
 from capax.errors import ComponentCountMismatch, TrackingAmbiguity
-from capax.ratmap import RationalMapPF
+from capax.ratmap import RationalMapPF, as_fraction
 
 from conftest import random_good_map, random_not_good_map
 
@@ -222,21 +224,20 @@ def _seq_order_chain(Z, ts, z0, solver):
     return out
 
 
-class _Captured(Exception):
-    pass
+def _chain_inputs(R, N):
+    """Full-grid (Z, ts, z0, solver) for _order_chain: raw root sets at every
+    node of the uniform t grid, seeded by the t = 0 preimages."""
+    P, Q = as_fraction(R)
+    pc = np.zeros(R.n + 1, dtype=np.complex128)
+    pc[: R.n] = P
 
+    def solver(ws):
+        return numerics.solve_rows(pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
 
-def _chain_inputs(monkeypatch, R, N):
-    """The (Z, ts, z0, solver) that trace hands to _order_chain."""
-
-    def capture(*args):
-        raise _Captured(args)
-
-    with monkeypatch.context() as m:
-        m.setattr(boundary, "_order_chain", capture)
-        with pytest.raises(_Captured) as exc:
-            boundary.trace(R, N=N)
-    return exc.value.args[0]
+    ts = 2.0 * np.pi * np.arange(N) / N
+    Z, ok = solver(np.exp(1j * ts))
+    assert ok.all()
+    return Z, ts, R.preimages(1.0), solver
 
 
 # A near-marginal three-pole map (max |critical value| in [0.999, 0.9999])
@@ -263,7 +264,7 @@ MARGINAL_AMBIGUOUS = (
     ],
 )
 def test_batched_chain_matches_sequential_walk(monkeypatch, R, refined_hops):
-    args = _chain_inputs(monkeypatch, R(), boundary.DEFAULT_N)
+    args = _chain_inputs(R(), boundary.DEFAULT_N)
     calls = []
     real_refine = boundary._refine_gap
 
@@ -276,13 +277,107 @@ def test_batched_chain_matches_sequential_walk(monkeypatch, R, refined_hops):
     assert len(calls) == refined_hops
 
 
-def test_batched_chain_raises_like_sequential_walk(monkeypatch):
-    args = _chain_inputs(monkeypatch, parse_map(MARGINAL_AMBIGUOUS), 256)
+def test_batched_chain_raises_like_sequential_walk():
+    args = _chain_inputs(parse_map(MARGINAL_AMBIGUOUS), 256)
     with pytest.raises(TrackingAmbiguity) as batched:
         boundary._order_chain(*args)
     with pytest.raises(TrackingAmbiguity) as sequential:
         _seq_order_chain(*args)
     assert str(batched.value) == str(sequential.value)
+
+
+# Bank map degree16-0 of pipebench/bank.json: sixteen poles, every block of
+# the anchor-and-fill trace passes at the default N.
+DEGREE16_0 = (
+    "(0.038971303878753805+0.00077844453643789475i)/(z-(0.50829346734711445-1.8812284896496094i))"
+    "+(0.012465661862757224+0.01012029006818424i)/(z+(0.51821207356101384-1.6579777844243604i))"
+    "-(0.0010898639210941258+0.034944434356545796i)/(z-(1.6631038947789429-0.20933768418389676i))"
+    "-(0.018424579193872193+0.0047420655324596737i)/(z+(0.082994335391878948+0.7032852581864657i))"
+    "-(5.3261086127831426e-05-0.026764530114757292i)/(z+(1.0329690143588186-0.66753788587716478i))"
+    "-(0.011506109541158745-0.0043577185281142173i)/(z+(1.1333814310203381+0.01003802176099855i))"
+    "+(0.0035262537622609111-0.028701378367568028i)/(z-(0.50939701995562281+0.6259544097709564i))"
+    "-(0.040242445399274636+0.040343353544559472i)/(z-(1.6546202098413976-0.6764457971503286i))"
+    "-(0.0076284867466664026-0.015428519948667788i)/(z-(1.8113652365165653-1.7940042771504414i))"
+    "+(0.054274642641230712+8.0800597072316988e-05i)/(z-(1.994938031284577+1.8193939632253588i))"
+    "+(0.019668085446719642+0.0027195488190957543i)/(z-(0.68164402264193358+1.1629963902039013i))"
+    "-(0.048814748458573053+0.0035689464504239528i)/(z+(0.28219997981068001+1.8071753033671305i))"
+    "+(0.0047541837290245312+0.0090812915955818321i)/(z+(1.7360342325785458-1.2835916086074697i))"
+    "+(0.0046207182837812227+0.0075482201190690754i)/(z-(1.250924535803982-1.876417165685595i))"
+    "-(0.024368677824799182-0.022608430259045159i)/(z+(1.1200646920841102+1.1782371459087337i))"
+    "+(0.017446659201172512+0.033076047546996348i)/(z-(1.0841148948357171-1.2854673571473705i))"
+)
+
+
+def _trace_and_reference(R, N=boundary.DEFAULT_N):
+    """trace's nodes as an (N, n) array, and the full-grid reference (every
+    node eigensolved, ordered by _order_chain) with its columns in the same
+    curve order."""
+    Z = np.stack([c.z for c in boundary.trace(R, N=N).curves], axis=1)
+    ref = boundary._order_chain(*_chain_inputs(R, N))
+    cols = np.abs(Z[0][:, None] - ref[0][None, :]).argmin(axis=1)
+    return Z, ref[:, cols]
+
+
+TRACE_MAPS = [
+    pytest.param(lambda: example_map(1), id="example1"),
+    pytest.param(lambda: example_map(6), id="example6"),
+    pytest.param(lambda: parse_map(DEGREE16_0), id="degree16-0"),
+    pytest.param(lambda: parse_map(MARGINAL_REFINED), id="marginal-refined"),
+]
+
+
+@pytest.mark.parametrize("R", TRACE_MAPS)
+def test_anchor_and_fill_matches_full_grid(R):
+    Z, ref = _trace_and_reference(R())
+    assert np.abs(Z - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("R", TRACE_MAPS)
+def test_failed_blocks_fall_back_to_the_full_grid_walk(monkeypatch, R):
+    # Fill guesses that never converge send every block to the fallback,
+    # which must then reproduce the full-grid walk exactly.
+    def unconverged(pc, qc, ws, Z, tol):
+        return Z, np.zeros(len(ws), dtype=bool)
+
+    fake = types.SimpleNamespace(**vars(numerics))
+    fake.polish_rows = unconverged
+    monkeypatch.setattr(boundary, "numerics", fake)
+    refilled = []
+    real_refill = boundary._refill
+
+    def counting_refill(Z, ts, a, Zb, solver):
+        refilled.append(a)
+        return real_refill(Z, ts, a, Zb, solver)
+
+    monkeypatch.setattr(boundary, "_refill", counting_refill)
+    Z, ref = _trace_and_reference(R())
+    assert refilled == list(range(0, boundary.DEFAULT_N, 8))
+    assert np.array_equal(Z, ref)
+
+
+def test_refill_must_join_the_next_anchor_in_order():
+    Zraw, ts, z0, solver = _chain_inputs(example_map(1), 512)
+    ref = boundary._order_chain(Zraw, ts, z0, solver)
+    Z = ref.copy()
+    Z[1:8] = 0
+    boundary._refill(Z, ts, 0, Zraw[1:8], solver)
+    assert np.array_equal(Z, ref)
+    Z[8] = Z[8][::-1]  # an anchor chain that swapped the two curves
+    with pytest.raises(TrackingAmbiguity, match="anchor chain's order"):
+        boundary._refill(Z, ts, 0, Zraw[1:8], solver)
+
+
+def test_trace_eigensolves_only_the_anchors(monkeypatch):
+    rows = []
+    real_solve = numerics.solve_rows
+
+    def counting_solve(pc, qc, ws, tol):
+        rows.append(len(ws))
+        return real_solve(pc, qc, ws, tol)
+
+    monkeypatch.setattr(numerics, "solve_rows", counting_solve)
+    boundary.trace(parse_map(DEGREE16_0), N=4096)
+    assert sum(rows) == 4096 // 8
 
 
 @pytest.mark.parametrize("M", [1, 2, 7, 4096])

@@ -239,6 +239,16 @@ def test_repro_has_no_svg_flag(tmp_path, capsys):
     assert "unrecognized arguments: --svg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "bounds", "verdict"])
+def test_only_trace_has_svg_flag(tmp_path, capsys, command):
+    svg = tmp_path / "curves.svg"
+    with pytest.raises(SystemExit) as e:
+        main([command, "--map", GOOD_TEXT, "--kmax", "2", "--svg", str(svg)])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_python_dash_m_capax():
     src = str(Path(capax.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
