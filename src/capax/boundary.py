@@ -140,7 +140,7 @@ def _continue(left, t0, Z, ts, solver, max_depth=_MAX_REFINE_DEPTH):
         p = _match(refined, Z[i])
         if p is None:
             raise TrackingAmbiguity(
-                f"step {i} (t = {ts[i]:.6f}) remained ambiguous after refinement"
+                f"continuation at t = {ts[i]:.6f} remained ambiguous after refinement"
             )
         perm[i] = p
     return np.take_along_axis(Z, _compose(perm), axis=1)
@@ -282,13 +282,16 @@ def trace(R, N=DEFAULT_N, check_good=True):
             for j, Zj in zip(bad, Zb):
                 _refill(Z, ts, j * S, Zj, solver)
 
-    resid = np.abs(np.abs(_eval_many(R, Z)) - 1.0).max()
+    # R = sum a/(z - p) and |R'| = |sum a/(z - p)^2| from one pole-distance
+    # tensor; no pole-proximity guard (nodes stay away from poles)
+    inv = 1.0 / (Z[..., None] - R.poles)
+    resid = np.abs(np.abs(inv @ R.residues) - 1.0).max()
     if resid > NODE_RESIDUAL_TOL:
         raise NonConvergence(
             f"node residual {resid:.3e} exceeds {NODE_RESIDUAL_TOL:.1e}"
         )
 
-    speed = 1.0 / np.abs(R.derivative(Z))
+    speed = 1.0 / np.abs(np.square(inv, out=inv) @ R.residues)
     curves = []
     for c in range(n):
         w = _windings(Z[:, c], R.poles)
@@ -315,12 +318,6 @@ def trace(R, N=DEFAULT_N, check_good=True):
     curves.sort(key=lambda cv: cv.component_id)
     total = float(sum(cv.speed.sum() for cv in curves) * (2.0 * np.pi / N))
     return BoundarySampling(curves=curves, N=N, total_arclength=total)
-
-
-def _eval_many(R, Z):
-    """R on an array, no pole-proximity guard (nodes stay away from poles)."""
-    d = Z[..., None] - R.poles
-    return (R.residues / d).sum(axis=-1)
 
 
 def quad_inner(sampling, f, g):

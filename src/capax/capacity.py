@@ -15,12 +15,19 @@ tighten monotonically as the spans grow.
 Only the m x m complex Gram is ever integrated; multiplication by i acts on
 it algebraically (the 2x2 real blocks below), which halves the quadrature
 work and keeps the real matrix exactly structured.
+
+The quadrature weights lam are folded into the basis: row (p, j) of the one
+(m, nodes) basis array holds sqrt(lam) (z - p)^{-j}, built by cumulative
+products, so the complex Gram sum_i lam_i phi_r(z_i) conj(phi_s(z_i)) is one
+Hermitian rank-k update (BLAS herk) of that array.  herk computes one
+triangle; mirroring it makes C exactly Hermitian.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .boundary import DEFAULT_N, trace
 from .errors import EmptyBasis, IllConditioned
@@ -63,14 +70,17 @@ class GramSystem:
     basis: BasisSpec = field(repr=False, default=None)
 
 
-def _basis_values(elements, z):
-    """Rows of (z - p)^{-j} over the node array, via cumulative powers."""
-    B = np.empty((len(elements), z.size), dtype=np.complex128)
-    cache = {}
-    for r, (p, j) in enumerate(elements):
-        if p not in cache:
-            cache[p] = 1.0 / (z - p)
-        B[r] = cache[p] ** j
+def _basis_values(S, k, z, scale):
+    """Rows scale * (z - p)^{-j} over the node array, p in S, 1 <= j <= k,
+    in the pole-major order of enumerate_basis, via cumulative products."""
+    B = np.empty((S.size * k, z.size), dtype=np.complex128)
+    inv = np.empty_like(z)
+    for i, p in enumerate(S):
+        np.reciprocal(np.subtract(z, p, out=inv), out=inv)
+        r = i * k
+        np.multiply(inv, scale, out=B[r])
+        for j in range(1, k):
+            np.multiply(B[r + j - 1], inv, out=B[r + j])
     return B
 
 
@@ -117,11 +127,14 @@ def assemble_gram(sampling, basis):
     """Quadrature-level Gram system for one basis."""
     _check_poles_inside(sampling, basis.S)
     z, lam = sampling.nodes()
-    B = _basis_values(basis.elements, z)
-    Bw = B * lam
-    C = Bw @ B.conj().T
-    C = 0.5 * (C + C.conj().T)
-    v = B @ lam.astype(np.complex128)
+    root = np.sqrt(lam)
+    B = _basis_values(basis.S, basis.k, z, root)
+    v = B @ root
+    # B.T is the Fortran-ordered view of B; herk's upper triangle of
+    # (B.T)^H B.T = conj(B B^H) is the lower triangle of C = B B^H
+    H = scipy.linalg.blas.zherk(1.0, B.T, trans=2)
+    C = np.triu(H, 1).T
+    C += np.triu(H).conj()
     G, w, b = _realify(C, v, basis.elements)
     return GramSystem(G=G, w=w, b=b, c0=float(lam.sum()), basis=basis)
 

@@ -190,9 +190,14 @@ class JobConfig:
         validate_params(self.kmax, self.nodes, self.tol)
 
 
+CONFIG_KEYS = ("map", "kmax", "nodes", "tol", "out", "svg")
+
+
 def load_config(path):
     """Line-oriented key = value file with an optional [map] section of
-    'term = re_a im_a / re_p im_p' lines."""
+    'term = re_a im_a / re_p im_p' lines.  Keys outside CONFIG_KEYS are
+    rejected; svg is known to every subcommand so one file can serve them
+    all, and only trace writes it."""
     settings = {}
     terms = []
     in_map = False
@@ -220,8 +225,10 @@ def load_config(path):
                         f"{path}:{lineno}: term must be 're_a im_a / re_p im_p'"
                     ) from exc
                 terms.append((complex(ra, ia), complex(rp, ip)))
-            else:
+            elif key in CONFIG_KEYS:
                 settings[key] = value
+            else:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if terms:
         settings["_terms"] = terms
     return settings

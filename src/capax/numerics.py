@@ -101,14 +101,16 @@ def _eval_rows(C, Z):
     p = np.zeros_like(Z)
     dp = np.zeros_like(Z)
     for k in range(C.shape[1] - 1, -1, -1):
-        dp = dp * Z + p
-        p = p * Z + C[:, k : k + 1]
+        dp *= Z
+        dp += p
+        p *= Z
+        p += C[:, k : k + 1]
     return p, dp
 
 
 def _polish_rows(C, Z, iters=3):
     """Newton-polish each root of each row, keeping a step only when the
-    residual actually drops."""
+    residual actually drops.  Returns (Z, p) with p the row values at Z."""
     p, dp = _eval_rows(C, Z)
     for _ in range(iters):
         dps = np.where(dp == 0, 1.0, dp)
@@ -118,7 +120,7 @@ def _polish_rows(C, Z, iters=3):
         Z = np.where(better, Zn, Z)
         p = np.where(better, pn, p)
         dp = np.where(better, dpn, dp)
-    return Z
+    return Z, p
 
 
 def _companion_rows(C):
@@ -154,11 +156,10 @@ def polish_rows(pc, qc, ws, Z, tol):
     root can pass; callers that need distinct roots check that themselves.
     """
     monic = qc[None, :] - pc[None, :] / ws[:, None]
-    Z = _polish_rows(monic, Z)
+    Z, _ = _polish_rows(monic, Z)
     # a last polish and the check on the rows as given, not their monic form
     C = pc[None, :] - ws[:, None] * qc[None, :]
-    Z = _polish_rows(C, Z, 2)
-    p, _ = _eval_rows(C, Z)
+    Z, p = _polish_rows(C, Z, 2)
     bound = residual_bound(np.abs(C).max(axis=1, keepdims=True), Z, C.shape[1] - 1, tol)
     return Z, (np.abs(p) <= bound).all(axis=1)
 
@@ -179,7 +180,7 @@ def roots(c, tol=DEFAULT_ROOT_TOL):
     if not np.all(np.isfinite(p)):
         raise ValueError("polynomial coefficients must be finite")
     cm = (p / p[-1])[None, :]
-    r = _polish_rows(cm, np.linalg.eigvals(_companion_rows(cm)))[0]
+    r = _polish_rows(cm, np.linalg.eigvals(_companion_rows(cm)))[0][0]
     bad = ~residual_ok(p, r, tol)
     if np.any(bad):
         worst = np.abs(poly_eval(p, r[bad])).max()

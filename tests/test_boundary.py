@@ -210,7 +210,7 @@ def _seq_order_chain(Z, ts, z0, solver):
             perm = _seq_match(refined, Z[i])
             if perm is None:
                 raise TrackingAmbiguity(
-                    f"step {i} (t = {ts[i]:.6f}) remained ambiguous after refinement"
+                    f"continuation at t = {ts[i]:.6f} remained ambiguous after refinement"
                 )
         out[i] = Z[i][perm]
     wrap = _seq_match(out[-1], out[0])

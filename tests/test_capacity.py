@@ -1,13 +1,17 @@
 """Gram assembly, two-sided capacity bounds, and extremality verdicts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from capax import boundary, capacity
+from capax.cli import REFERENCE_BOUNDS, example_map, parse_map
 from capax.errors import EmptyBasis, IllConditioned
 from capax.ratmap import RationalMapPF, affine_conjugate
 
 from conftest import random_good_map
+from test_boundary import DEGREE16_0
 
 
 def disk_map(a=0.6, p=0.0 + 0.0j):
@@ -176,3 +180,55 @@ def test_verdict_inconclusive_branch():
     v = capacity.verdict(fake)
     assert v.status == capacity.Ahlfors.INCONCLUSIVE
     assert v.margin == pytest.approx(0.05)
+
+
+def _reference_gram(sampling, basis):
+    """The plain assembly: powers by **j, C = (B * lam) @ B^H, then the
+    Hermitian part."""
+    z, lam = sampling.nodes()
+    B = np.array([(1.0 / (z - p)) ** j for p, j in basis.elements])
+    C = (B * lam) @ B.conj().T
+    C = 0.5 * (C + C.conj().T)
+    v = B @ lam.astype(np.complex128)
+    G, w, _ = capacity._realify(C, v, basis.elements)
+    return G, w, float(lam.sum())
+
+
+@pytest.fixture(scope="module")
+def degree16_sampling():
+    R = parse_map(DEGREE16_0)
+    return R, boundary.trace(R, N=4096)
+
+
+@pytest.mark.parametrize(
+    "example, kmax",
+    [(1, max(REFERENCE_BOUNDS[1])), (2, 40), (6, max(REFERENCE_BOUNDS[6])), (None, 4)],
+    ids=["example1", "example2", "example6", "degree16-0"],
+)
+def test_gram_matches_plain_assembly(example, kmax, degree16_sampling):
+    if example is None:
+        R, sampling = degree16_sampling
+    else:
+        R = example_map(example)
+        sampling = boundary.trace(R, N=1024)
+    basis = capacity.enumerate_basis(R, kmax)
+    gram = capacity.assemble_gram(sampling, basis)
+    G, w, c0 = _reference_gram(sampling, basis)
+    d = np.sqrt(np.diag(G))
+    assert (np.abs(gram.G - G) / np.outer(d, d)).max() <= 1e-13
+    assert (np.abs(gram.w - w) / d).max() <= 1e-13
+    assert gram.c0 == c0
+    assert np.array_equal(gram.G, gram.G.T)
+
+
+def test_gram_assembly_holds_one_basis_matrix(degree16_sampling):
+    R, sampling = degree16_sampling
+    basis = capacity.enumerate_basis(R, 4)
+    m, nodes = len(basis.elements), sum(c.z.size for c in sampling.curves)
+    tracemalloc.start()
+    try:
+        capacity.assemble_gram(sampling, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * m * nodes * 16

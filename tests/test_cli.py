@@ -267,3 +267,26 @@ def test_example_maps_all_good():
         from capax.ratmap import Goodness, is_n_good
 
         assert is_n_good(R).status is Goodness.GOOD
+
+
+@pytest.mark.parametrize("typo, lineno", [("kmx = 2", 2), ("nodse = 128", 3)])
+def test_config_rejects_unknown_key(tmp_path, capsys, typo, lineno):
+    cfgp = tmp_path / "job.cfg"
+    lines = [f"map = {GOOD_TEXT}", "kmax = 2", "nodes = 512"]
+    lines[lineno - 1] = typo
+    cfgp.write_text("\n".join(lines) + "\n")
+    assert main(["bounds", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    key = typo.split()[0]
+    assert err.startswith(f"error: {cfgp}:{lineno}: ") and repr(key) in err
+
+
+def test_config_svg_key_is_shared_by_all_subcommands(tmp_path, capsys):
+    cfgp = tmp_path / "job.cfg"
+    svg = tmp_path / "curves.svg"
+    cfgp.write_text(f"map = {GOOD_TEXT}\nkmax = 2\nnodes = 256\nsvg = {svg}\n")
+    assert main(["bounds", "--config", str(cfgp)]) == 0
+    assert not svg.exists()
+    assert main(["trace", "--config", str(cfgp)]) == 0
+    capsys.readouterr()
+    assert svg.read_text().startswith("<svg")

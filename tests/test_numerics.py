@@ -108,3 +108,42 @@ def test_residual_contract_on_returned_roots():
     c = rng.uniform(-1, 1, size=10) + 1j * rng.uniform(-1, 1, size=10)
     r = numerics.roots(c)
     assert np.all(numerics.residual_ok(c, r, numerics.DEFAULT_ROOT_TOL))
+
+
+def _allocating_eval_rows(C, Z):
+    p = np.zeros_like(Z)
+    dp = np.zeros_like(Z)
+    for k in range(C.shape[1] - 1, -1, -1):
+        dp = dp * Z + p
+        p = p * Z + C[:, k : k + 1]
+    return p, dp
+
+
+@pytest.mark.parametrize("M, n", [(3584, 16), (4096, 3), (1, 1)])
+def test_in_place_horner_is_bit_identical(M, n):
+    rng = np.random.default_rng(M + n)
+    C = rng.normal(size=(M, n + 1)) + 1j * rng.normal(size=(M, n + 1))
+    Z = rng.normal(size=(M, n)) + 1j * rng.normal(size=(M, n))
+    p, dp = numerics._eval_rows(C, Z)
+    p_ref, dp_ref = _allocating_eval_rows(C, Z)
+    assert np.array_equal(p, p_ref) and np.array_equal(dp, dp_ref)
+
+
+def test_polish_rows_ok_matches_a_fresh_residual_check():
+    rng = np.random.default_rng(29)
+    n = 5
+    qc = numerics.poly_from_roots(rng.normal(size=n) + 1j * rng.normal(size=n))
+    pc = np.zeros(n + 1, dtype=np.complex128)
+    pc[:n] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    ws = np.exp(2j * np.pi * np.arange(64) / 64)
+    Z, _ = numerics.solve_rows(pc, qc, ws, numerics.DEFAULT_ROOT_TOL)
+    # perturbed guesses: most rows converge, the wildly perturbed ones do not
+    guess = Z + 1e-3 * rng.normal(size=Z.shape)
+    guess[::7] += 50.0
+    Zp, ok = numerics.polish_rows(pc, qc, ws, guess, numerics.DEFAULT_ROOT_TOL)
+    fresh = np.array([
+        numerics.residual_ok(pc - w * qc, z, numerics.DEFAULT_ROOT_TOL).all()
+        for w, z in zip(ws, Zp)
+    ])
+    assert ok.any() and not ok.all()
+    assert np.array_equal(ok, fresh)
