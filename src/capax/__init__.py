@@ -12,8 +12,6 @@ from .capacity import (
     bounds_sequence,
     bounds_sequence_adaptive,
     enumerate_basis,
-    lower_bound,
-    upper_bound,
     verdict,
 )
 from .cli import format_map, parse_map, repro

@@ -12,6 +12,15 @@ slots of the simple poles (z - p)^{-1}, the only elements with Re phi'(inf)
 nonzero.  Both values bracket the capacity of {|R| >= 1} for every k, and
 tighten monotonically as the spans grow.
 
+The basis is order-major: all of S at j = 1, then all of S at j = 2, and so
+on, so the span for k is the first 2|S|k real slots and its Gram is the
+leading block of the kmax Gram.  One Cholesky factor L of the equilibrated
+kmax Gram D^{-1} G D^{-1} is then the factor of every leading block, and
+with the two triangular solves y_w = L^{-1} D^{-1} w and y_b = L^{-1} D^{-1} b
+every row is a prefix sum, monotone in k by construction:
+
+    u_k = c0 - sum_{s < 2|S|k} y_w[s]^2,    l_k = sum_{s < 2|S|k} y_b[s]^2.
+
 Only the m x m complex Gram is ever integrated; multiplication by i acts on
 it algebraically (the 2x2 real blocks below), which halves the quadrature
 work and keeps the real matrix exactly structured.
@@ -23,7 +32,7 @@ Hermitian rank-k update (BLAS herk) of that array.  herk computes one
 triangle; mirroring it makes C exactly Hermitian.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -41,11 +50,12 @@ DEFAULT_TOL = 1e-6
 class BasisSpec:
     S: np.ndarray
     k: int
-    elements: list  # [(pole, j)] ordered by (index into S, then j)
+    elements: list  # [(pole, j)] ordered by (j, then index into S)
 
 
 def enumerate_basis(R, k, S_override=None):
-    """Basis elements (z - p)^{-j}, p in S, 1 <= j <= k, pole-major order.
+    """Basis elements (z - p)^{-j}, p in S, 1 <= j <= k, order-major: every
+    point of S at j = 1, then every point of S at j = 2, and so on.
 
     S defaults to the poles of R, which meets every component of the
     complement interior; an override is the caller's responsibility to keep
@@ -57,7 +67,7 @@ def enumerate_basis(R, k, S_override=None):
     )
     if k < 1 or S.size == 0:
         raise EmptyBasis(f"no basis elements for k = {k}, |S| = {S.size}")
-    elements = [(complex(p), j) for p in S for j in range(1, k + 1)]
+    elements = [(complex(p), j) for j in range(1, k + 1) for p in S]
     return BasisSpec(S=S, k=k, elements=elements)
 
 
@@ -67,20 +77,21 @@ class GramSystem:
     w: np.ndarray  # (2m,)  <1, phi_r>
     b: np.ndarray  # (2m,)  Re phi_r'(infinity)
     c0: float  # arclength / 2pi
-    basis: BasisSpec = field(repr=False, default=None)
 
 
 def _basis_values(S, k, z, scale):
     """Rows scale * (z - p)^{-j} over the node array, p in S, 1 <= j <= k,
-    in the pole-major order of enumerate_basis, via cumulative products."""
-    B = np.empty((S.size * k, z.size), dtype=np.complex128)
-    inv = np.empty_like(z)
-    for i, p in enumerate(S):
-        np.reciprocal(np.subtract(z, p, out=inv), out=inv)
-        r = i * k
-        np.multiply(inv, scale, out=B[r])
-        for j in range(1, k):
-            np.multiply(B[r + j - 1], inv, out=B[r + j])
+    in the order of enumerate_basis, via cumulative products.
+
+    The last block of rows holds 1/(z - p) until the last product overwrites
+    it in place, so no second node-sized array is allocated."""
+    n = S.size
+    B = np.empty((n * k, z.size), dtype=np.complex128)
+    inv = B[(k - 1) * n :]
+    np.reciprocal(np.subtract(z, S[:, None], out=inv), out=inv)
+    prev = scale
+    for j in range(k):
+        prev = np.multiply(prev, inv, out=B[j * n : (j + 1) * n])
     return B
 
 
@@ -109,8 +120,15 @@ def _realify(C, v, elements):
 
 
 def _check_poles_inside(sampling, S):
+    """Each point of S must lie inside exactly one boundary curve.  trace has
+    already found each curve's enclosed pole, and only that pole, inside it,
+    so only the other points of S are wound."""
     from .boundary import _windings
 
+    traced = {c.enclosed_pole for c in sampling.curves}
+    S = [p for p in S if complex(p) not in traced]
+    if not S:
+        return
     z_all = np.concatenate([c.z for c in sampling.curves])
     for p in S:
         if np.abs(z_all - p).min() <= 1e-9:
@@ -136,15 +154,19 @@ def assemble_gram(sampling, basis):
     C = np.triu(H, 1).T
     C += np.triu(H).conj()
     G, w, b = _realify(C, v, basis.elements)
-    return GramSystem(G=G, w=w, b=b, c0=float(lam.sum()), basis=basis)
+    return GramSystem(G=G, w=w, b=b, c0=float(lam.sum()))
 
 
 def _solve_spd(G, rhs):
-    """Solve G x = rhs_i by Cholesky after symmetric equilibration.
+    """Half-solves y_i = L^{-1} D^{-1} rhs_i with the Cholesky factor L of the
+    symmetrically equilibrated Gram D^{-1} G D^{-1}, so that
+    rhs_i^T G^{-1} rhs_i = |y_i|^2; for every leading block of G the same
+    identity holds with the leading entries of y_i.
 
     Condition estimates above COND_LIMIT (or outright factorization failure)
     trigger a tiny relative ridge; the result is then flagged uncertified.
-    Returns (solutions, certified).
+    By eigenvalue interlacing no leading block is worse conditioned than G.
+    Returns (half-solves, certified).
     """
     d = np.sqrt(np.abs(np.diag(G)))
     d[d == 0] = 1.0
@@ -157,7 +179,7 @@ def _solve_spd(G, rhs):
         ridge = RIDGE_REL * np.trace(Gs) / Gs.shape[0]
     for _ in range(4):
         try:
-            cf = scipy.linalg.cho_factor(
+            L, _ = scipy.linalg.cho_factor(
                 Gs + ridge * np.eye(Gs.shape[0]) if ridge else Gs, lower=True
             )
             break
@@ -166,25 +188,9 @@ def _solve_spd(G, rhs):
             ridge = max(ridge * 100.0, RIDGE_REL)
     else:
         raise IllConditioned("Gram factorization failed even with ridge fallback")
-    xs = [scipy.linalg.cho_solve(cf, r / d) / d for r in rhs]
-    return xs, certified
-
-
-def upper_bound(gram):
-    """c0 - w^T G^{-1} w: the best admissible upper estimate in this span."""
-    (x,), _ = _solve_spd(gram.G, [gram.w])
-    return float(gram.c0 - gram.w @ x)
-
-
-def lower_bound(gram):
-    """b^T G^{-1} b: the best admissible lower estimate in this span."""
-    (x,), _ = _solve_spd(gram.G, [gram.b])
-    return float(gram.b @ x)
-
-
-def _bound_pair(gram):
-    (xw, xb), certified = _solve_spd(gram.G, [gram.w, gram.b])
-    return float(gram.c0 - gram.w @ xw), float(gram.b @ xb), certified
+    # cho_factor leaves the upper triangle of L unzeroed; trtrs never reads it
+    ys = scipy.linalg.solve_triangular(L, np.stack(rhs, axis=1) / d[:, None], lower=True)
+    return ys.T, certified
 
 
 @dataclass(frozen=True)
@@ -209,30 +215,20 @@ class CapacityBounds:
 def bounds_sequence(R, kmax, N=DEFAULT_N, S_override=None):
     """Bound rows for k = 1..kmax from a single boundary trace at resolution N.
 
-    The full-k Gram is assembled once; every smaller k reuses its leading
-    per-element blocks, so the whole sequence costs one quadrature pass plus
-    kmax small solves.
+    The kmax Gram is assembled and factored once.  In the order-major basis
+    the span for k is the first 2|S|k real slots, so row k reads the prefix
+    sums of the two half-solves at slot 2|S|k - 1; certified is the condition
+    test of the kmax Gram, which bounds every row's leading block.
     """
     kmax = int(kmax)
     sampling = trace(R, N=N)
     basis = enumerate_basis(R, kmax, S_override=S_override)
     gram = assemble_gram(sampling, basis)
-    rows = []
-    certified = True
-    elems = gram.basis.elements
-    for k in range(1, kmax + 1):
-        keep = [r for r, (_, j) in enumerate(elems) if j <= k]
-        slots = np.array([s for r in keep for s in (2 * r, 2 * r + 1)])
-        sub = GramSystem(
-            G=gram.G[np.ix_(slots, slots)],
-            w=gram.w[slots],
-            b=gram.b[slots],
-            c0=gram.c0,
-            basis=BasisSpec(S=basis.S, k=k, elements=[elems[r] for r in keep]),
-        )
-        u, l, cert = _bound_pair(sub)
-        rows.append((k, l, u))
-        certified &= cert
+    (yw, yb), certified = _solve_spd(gram.G, [gram.w, gram.b])
+    ends = 2 * basis.S.size * np.arange(1, kmax + 1) - 1
+    lowers = np.cumsum(yb * yb)[ends].tolist()
+    uppers = (gram.c0 - np.cumsum(yw * yw)[ends]).tolist()
+    rows = list(zip(range(1, kmax + 1), lowers, uppers))
     return CapacityBounds(
         rows=rows,
         R_prime_inf=R.derivative_at_infinity(),

@@ -183,7 +183,6 @@ class JobConfig:
     kmax: int = 5
     nodes: int = boundary.DEFAULT_N
     tol: float = capacity.DEFAULT_TOL
-    outputs: frozenset = frozenset()
     paths: dict = field(default_factory=dict)
 
     def validate(self):
@@ -415,12 +414,11 @@ def repro(example_id, kmax=None, nodes=boundary.DEFAULT_N):
     if example_id not in REFERENCE_BOUNDS:
         raise ValueError("example id must be in 1..6")
     ref = REFERENCE_BOUNDS[example_id]
-    ks = sorted(ref)
-    kcap = int(kmax) if kmax is not None else max(ks)
-    bounds = capacity.bounds_sequence(example_map(example_id), kcap, N=nodes)
+    kmax = int(kmax) if kmax is not None else max(ref)
+    bounds = capacity.bounds_sequence(example_map(example_id), kmax, N=nodes)
     lines = ["k,lower,upper,paper_lower,paper_upper,abs_err_l,abs_err_u"]
     for k, low, up in bounds.rows:
-        if k not in ref or k > kcap:
+        if k not in ref:
             continue
         rl, ru = ref[k]
         lines.append(

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from capax import boundary, capacity
 from capax.cli import REFERENCE_BOUNDS, example_map, parse_map
@@ -21,7 +22,7 @@ def disk_map(a=0.6, p=0.0 + 0.0j):
 def test_enumerate_basis_order():
     R = RationalMapPF([0.3, 0.2], [-1.0, 1.0])
     basis = capacity.enumerate_basis(R, 2)
-    assert basis.elements == [(-1 + 0j, 1), (-1 + 0j, 2), (1 + 0j, 1), (1 + 0j, 2)]
+    assert basis.elements == [(-1 + 0j, 1), (1 + 0j, 1), (-1 + 0j, 2), (1 + 0j, 2)]
     with pytest.raises(EmptyBasis):
         capacity.enumerate_basis(R, 0)
 
@@ -40,11 +41,11 @@ def test_disk_gram_structure():
 
 def test_disk_bounds_equal_radius():
     a = 0.6
-    R = disk_map(a, 0.2 - 0.7j)
-    sampling = boundary.trace(R, N=256)
-    gram = capacity.assemble_gram(sampling, capacity.enumerate_basis(R, 1))
-    assert abs(capacity.upper_bound(gram) - a) < 1e-10
-    assert abs(capacity.lower_bound(gram) - a) < 1e-10
+    p = 0.2 - 0.7j
+    R = disk_map(a, p)
+    _, low, up = capacity.bounds_sequence(R, 1, N=256, S_override=[p]).final
+    assert abs(up - a) < 1e-10
+    assert abs(low - a) < 1e-10
 
 
 def test_bounds_sequence_shape_and_order():
@@ -107,10 +108,9 @@ def test_s_override_validation_and_use():
     R = disk_map(a, p)
     sampling = boundary.trace(R, N=256)
     # A non-pole base point inside the disk is legal but suboptimal.
-    basis = capacity.enumerate_basis(R, 1, S_override=[p + 0.2])
-    gram = capacity.assemble_gram(sampling, basis)
-    assert capacity.upper_bound(gram) >= a - 1e-10
-    assert capacity.lower_bound(gram) <= a + 1e-10
+    _, low, up = capacity.bounds_sequence(R, 1, N=256, S_override=[p + 0.2]).final
+    assert up >= a - 1e-10
+    assert low <= a + 1e-10
     # A base point outside every component is rejected.
     with pytest.raises(ValueError):
         capacity.assemble_gram(sampling, capacity.enumerate_basis(R, 1, S_override=[3.0]))
@@ -232,3 +232,108 @@ def test_gram_assembly_holds_one_basis_matrix(degree16_sampling):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * m * nodes * 16
+
+
+# Bank map marginal-0 of pipebench/bank.json: three poles, max |critical
+# value| in [0.999, 0.9999].
+MARGINAL_0 = (
+    "1.0510999226056978/(z-(0.50829346734711445-1.8812284896496094i))"
+    "+0.77500357890441585/(z+(0.51821207356101384-1.6579777844243604i))"
+    "+0.62825875915628793/(z-(1.6631038947789429-0.20933768418389676i))"
+)
+
+
+def _per_k_solve(G, rhs):
+    """Reference solve for one k's own Gram: equilibrated Cholesky, a ridge
+    on a bad condition estimate, then G^{-1} rhs_i."""
+    d = np.sqrt(np.abs(np.diag(G)))
+    d[d == 0] = 1.0
+    Gs = G / d[:, None] / d[None, :]
+    ev = np.linalg.eigvalsh(Gs)
+    certified = True
+    ridge = 0.0
+    if ev[0] <= 0 or ev[-1] / ev[0] > capacity.COND_LIMIT:
+        certified = False
+        ridge = capacity.RIDGE_REL * np.trace(Gs) / Gs.shape[0]
+    for _ in range(4):
+        try:
+            cf = scipy.linalg.cho_factor(
+                Gs + ridge * np.eye(Gs.shape[0]) if ridge else Gs, lower=True
+            )
+            break
+        except np.linalg.LinAlgError:
+            certified = False
+            ridge = max(ridge * 100.0, capacity.RIDGE_REL)
+    else:
+        raise IllConditioned("Gram factorization failed even with ridge fallback")
+    return [scipy.linalg.cho_solve(cf, r / d) / d for r in rhs], certified
+
+
+def _per_k_rows(R, kmax):
+    """Rows by the per-k slot gather: for each k, the slots of the elements
+    with j <= k in pole-major order, one factorization each."""
+    basis = capacity.enumerate_basis(R, kmax)
+    gram = capacity.assemble_gram(boundary.trace(R), basis)
+    elems, n = basis.elements, basis.S.size
+    pole_major = sorted(range(len(elems)), key=lambda r: (r % n, r))
+    rows, certified = [], True
+    for k in range(1, kmax + 1):
+        keep = [r for r in pole_major if elems[r][1] <= k]
+        slots = np.array([s for r in keep for s in (2 * r, 2 * r + 1)])
+        w, b = gram.w[slots], gram.b[slots]
+        (xw, xb), cert = _per_k_solve(gram.G[np.ix_(slots, slots)], [w, b])
+        rows.append((k, float(b @ xb), float(gram.c0 - w @ xw)))
+        certified &= cert
+    return rows, certified
+
+
+@pytest.mark.parametrize(
+    "R, kmax",
+    [
+        (example_map(1), max(REFERENCE_BOUNDS[1])),
+        (example_map(2), 40),
+        (example_map(6), max(REFERENCE_BOUNDS[6])),
+        (parse_map(DEGREE16_0), 4),
+        (parse_map(MARGINAL_0), 5),
+    ],
+    ids=["example1", "example2-k40", "example6", "degree16-0", "marginal-0"],
+)
+def test_rows_match_per_k_solves(R, kmax):
+    bounds = capacity.bounds_sequence(R, kmax)
+    rows, certified = _per_k_rows(R, kmax)
+    assert bounds.certified == certified
+    # an uncertified kmax Gram's ridge reaches every row, while the reference
+    # ridges only the rows whose own block fails the condition test
+    tol = 1e-13 if certified else 1e-6
+    assert [r[0] for r in bounds.rows] == [r[0] for r in rows]
+    for (_, l1, u1), (_, l2, u2) in zip(bounds.rows, rows):
+        assert abs(l1 - l2) <= tol and abs(u1 - u2) <= tol
+
+
+@pytest.mark.parametrize("example, kmax", [(1, 5), (2, 40)], ids=["example1", "example2-k40"])
+def test_one_factorization_per_bound_sequence(example, kmax, monkeypatch):
+    calls = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    capacity.bounds_sequence(example_map(example), kmax, N=1024)
+    assert calls == [(4 * kmax, 4 * kmax)]
+
+
+def test_traced_poles_are_not_wound_again(monkeypatch):
+    calls = []
+    windings = boundary._windings
+
+    def counting(z_curve, points):
+        calls.append(len(points))
+        return windings(z_curve, points)
+
+    monkeypatch.setattr(boundary, "_windings", counting)
+    capacity.bounds_sequence(parse_map(DEGREE16_0), 4)
+    # trace winds each of its 16 curves about the 16 poles; assemble_gram
+    # winds none of them again
+    assert calls == [16] * 16

@@ -1,11 +1,14 @@
 """The pipeline benchmark's worker against the current package: the traced
 run patches attributes by name and records capax.BACKEND, so a rename here
-would otherwise only show up as a broken benchmark."""
+would otherwise only show up as a broken benchmark.  Its
+capacity.factorizations metric counts the capacity.cho_factor spans, so a
+factorization that bypasses scipy.linalg.cho_factor must fail here too."""
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,5 +31,9 @@ def test_traced_worker_run(tmp_path):
     assert "capax.BACKEND" in out["env"]
     for loop in out["loops"]:
         assert all(r["error"] is None for r in loop["records"])
-    names = {span[0] for span in json.loads(spans_path.read_text())}
+    spans = json.loads(spans_path.read_text())
+    names = {span[0] for span in spans}
     assert {"numerics.roots", "boundary.trace", "capacity.assemble_gram"} <= names
+    jobs = {span[1] for span in spans if span[0] == "job"}
+    factorizations = Counter(span[1] for span in spans if span[0] == "capacity.cho_factor")
+    assert jobs and factorizations == Counter(dict.fromkeys(jobs, 1))
