@@ -10,7 +10,6 @@ from .capacity import (
     GramSystem,
     assemble_gram,
     bounds_sequence,
-    bounds_sequence_adaptive,
     enumerate_basis,
     verdict,
 )

@@ -18,7 +18,12 @@ stable identity match; otherwise its fill nodes are eigensolved and walked
 one grid step at a time, exactly as if every node had been eigensolved.
 
 Uniform-grid (periodic trapezoid) sums over these analytic curves converge
-spectrally, so moderate N already yields integrals at roundoff level.
+geometrically, with a rate set by the critical value v nearest the unit
+circle: the error decays roughly like |v|^N (Trefethen & Weideman, SIAM Rev.
+56, 2014).  By default trace therefore chooses N from the critical values it
+already computes to classify the map (start_n), and doubles it, up to
+DEFAULT_N, while continuation stays ambiguous.  Each sampling stores its
+trapezoid weights lam_i = |dz/dt|_i / N.
 """
 
 from dataclasses import dataclass
@@ -29,8 +34,10 @@ from . import numerics
 from .errors import ComponentCountMismatch, NonConvergence, TrackingAmbiguity
 from .ratmap import Goodness, as_fraction, is_n_good
 
-DEFAULT_N = 4096
+DEFAULT_N = 4096  # the largest resolution chosen automatically
 MAX_N = 1 << 16
+AUTO_N_MIN = 256
+AUTO_DECAY = 1e-16
 NODE_RESIDUAL_TOL = 1e-9
 STABILITY_RATIO = 2.0
 _MAX_REFINE_DEPTH = 6
@@ -51,12 +58,21 @@ class BoundarySampling:
     curves: list
     N: int
     total_arclength: float
+    weights: np.ndarray  # (n, N) trapezoid weights, row c for curves[c]
 
     def nodes(self):
         """All nodes and quadrature weights w_i with sum w_i = arclength/2pi."""
         z = np.concatenate([c.z for c in self.curves])
-        lam = np.concatenate([c.speed for c in self.curves]) / self.N
-        return z, lam
+        return z, self.weights.ravel()
+
+
+def start_n(max_cv_modulus):
+    """The automatic resolution: the smallest power of two N >= AUTO_N_MIN
+    with max_cv_modulus**N <= AUTO_DECAY, at most DEFAULT_N."""
+    N = AUTO_N_MIN
+    while N < DEFAULT_N and max_cv_modulus**N > AUTO_DECAY:
+        N *= 2
+    return N
 
 
 def _match_rows(prev, new):
@@ -229,28 +245,46 @@ def _windings(z_curve, points):
     return w.astype(np.int64)
 
 
-def trace(R, N=DEFAULT_N, check_good=True):
+def trace(R, N=None, check_good=True):
     """Sample all boundary curves of {|R| >= 1} on a uniform t grid of size N.
 
-    N must be a power of two, 64 <= N <= 65536.  The map must classify as
-    GOOD (skippable with check_good=False for diagnostic runs on bad maps,
-    where one of the tracking errors below is the expected outcome).
+    An explicit N must be a power of two, 64 <= N <= 65536, and is used as
+    given.  N=None starts at start_n of the map's largest critical-value
+    modulus and doubles N, up to DEFAULT_N, while continuation stays
+    ambiguous.  The map must classify as GOOD (skippable with
+    check_good=False for diagnostic runs on bad maps, where one of the
+    tracking errors below is the expected outcome).
 
     Raises TrackingAmbiguity when continuation cannot be disambiguated even
-    on halved steps (caller should double N), ComponentCountMismatch when the
-    curve/pole pairing is not one-to-one, and NonConvergence when node
-    residuals miss NODE_RESIDUAL_TOL.
+    on halved steps (at an explicit N the caller should double N),
+    ComponentCountMismatch when the curve/pole pairing is not one-to-one,
+    and NonConvergence when node residuals miss NODE_RESIDUAL_TOL.
     """
-    N = int(N)
-    if N < 64 or N > MAX_N or (N & (N - 1)) != 0:
-        raise ValueError(f"N must be a power of two in [64, {MAX_N}]")
-    if check_good:
+    if N is not None:
+        N = int(N)
+        if N < 64 or N > MAX_N or (N & (N - 1)) != 0:
+            raise ValueError(f"N must be a power of two in [64, {MAX_N}]")
+    if check_good or N is None:
         verdict = is_n_good(R)
-        if verdict.status is not Goodness.GOOD:
+        if check_good and verdict.status is not Goodness.GOOD:
             raise ComponentCountMismatch(
                 f"map classifies as {verdict.status.value} "
                 f"(margin {verdict.margin:.3e}); boundary tracing needs a good map"
             )
+    if N is not None:
+        return _trace(R, N)
+    N = start_n(verdict.data.max_cv_modulus)
+    while True:
+        try:
+            return _trace(R, N)
+        except TrackingAmbiguity:
+            if N >= DEFAULT_N:
+                raise
+            N *= 2
+
+
+def _trace(R, N):
+    """trace at the grid size N, for a map already classified."""
     n = R.n
     P, Q = as_fraction(R)
     pc = np.zeros(n + 1, dtype=np.complex128)
@@ -317,17 +351,18 @@ def trace(R, N=DEFAULT_N, check_good=True):
         )
     curves.sort(key=lambda cv: cv.component_id)
     total = float(sum(cv.speed.sum() for cv in curves) * (2.0 * np.pi / N))
-    return BoundarySampling(curves=curves, N=N, total_arclength=total)
+    weights = np.stack([cv.speed for cv in curves]) / N
+    return BoundarySampling(curves=curves, N=N, total_arclength=total, weights=weights)
 
 
 def quad_inner(sampling, f, g):
     """(1/2pi) integral of f * conj(g) |dz| over all curves, by the periodic
     trapezoid rule.  f and g must accept complex ndarrays."""
     total = 0.0 + 0.0j
-    for c in sampling.curves:
+    for c, lam in zip(sampling.curves, sampling.weights):
         fv = np.asarray(f(c.z), dtype=np.complex128)
         gv = np.asarray(g(c.z), dtype=np.complex128)
-        total += (fv * np.conj(gv) * c.speed).sum() / sampling.N
+        total += (fv * np.conj(gv) * lam).sum()
     return complex(total)
 
 

@@ -25,11 +25,25 @@ Only the m x m complex Gram is ever integrated; multiplication by i acts on
 it algebraically (the 2x2 real blocks below), which halves the quadrature
 work and keeps the real matrix exactly structured.
 
-The quadrature weights lam are folded into the basis: row (p, j) of the one
-(m, nodes) basis array holds sqrt(lam) (z - p)^{-j}, built by cumulative
-products, so the complex Gram sum_i lam_i phi_r(z_i) conj(phi_s(z_i)) is one
-Hermitian rank-k update (BLAS herk) of that array.  herk computes one
-triangle; mirroring it makes C exactly Hermitian.
+The quadrature weights lam are folded into the basis: row (p, j) holds
+sqrt(lam) (z - p)^{-j}, built by cumulative products, so the complex Gram
+sum_i lam_i phi_r(z_i) conj(phi_s(z_i)) is a Hermitian rank-k update (BLAS
+herk) of the basis array.  The array is laid out by grid index mod 4, one
+C-contiguous (m, nodes/4) block per class, and each block gets its own herk
+(the same flops as one herk over all nodes).  herk computes one triangle;
+mirroring it makes C exactly Hermitian.
+
+The class Grams C_0..C_3 give the trapezoid Grams of the nested grids for
+free: C_N = C_0 + C_1 + C_2 + C_3, C_{N/2} = 2 (C_0 + C_2) and C_{N/4} =
+4 C_0, and likewise for w and c0.  The computed extremal functions
+g_k = 1 - sum x phi and h_k = sum z phi are fixed functions whose norms the
+rows are, so the change of a row from N to N/2 and from N/2 to N/4 is a
+quadratic form in the difference systems, with no second factorization.  The
+largest such change over all rows is the quadrature-error estimate
+quad_error, and a run is certified only when it is at most QUAD_TOL.  With
+N=None the trace starts at the resolution chosen from the critical values
+(boundary.start_n) and N doubles, up to boundary.DEFAULT_N, while a well
+conditioned run misses QUAD_TOL.
 """
 
 from dataclasses import dataclass
@@ -44,6 +58,7 @@ from .errors import EmptyBasis, IllConditioned
 COND_LIMIT = 1e12
 RIDGE_REL = 1e-14
 DEFAULT_TOL = 1e-6
+QUAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,21 +92,25 @@ class GramSystem:
     w: np.ndarray  # (2m,)  <1, phi_r>
     b: np.ndarray  # (2m,)  Re phi_r'(infinity)
     c0: float  # arclength / 2pi
+    # the changes of (G, w, c0) from grid N to N/2 and from N/2 to N/4; b is
+    # exact, so their b is zero
+    steps: tuple = ()
 
 
 def _basis_values(S, k, z, scale):
-    """Rows scale * (z - p)^{-j} over the node array, p in S, 1 <= j <= k,
-    in the order of enumerate_basis, via cumulative products.
+    """Rows scale * (z - p)^{-j} over the node array z of shape (..., q),
+    p in S, 1 <= j <= k, in the order of enumerate_basis, via cumulative
+    products; the result has shape (..., |S| k, q).
 
     The last block of rows holds 1/(z - p) until the last product overwrites
     it in place, so no second node-sized array is allocated."""
     n = S.size
-    B = np.empty((n * k, z.size), dtype=np.complex128)
-    inv = B[(k - 1) * n :]
-    np.reciprocal(np.subtract(z, S[:, None], out=inv), out=inv)
-    prev = scale
+    B = np.empty(z.shape[:-1] + (n * k, z.shape[-1]), dtype=np.complex128)
+    inv = B[..., (k - 1) * n :, :]
+    np.reciprocal(np.subtract(z[..., None, :], S[:, None], out=inv), out=inv)
+    prev = scale[..., None, :]
     for j in range(k):
-        prev = np.multiply(prev, inv, out=B[j * n : (j + 1) * n])
+        prev = np.multiply(prev, inv, out=B[..., j * n : (j + 1) * n, :])
     return B
 
 
@@ -141,20 +160,41 @@ def _check_poles_inside(sampling, S):
             )
 
 
-def assemble_gram(sampling, basis):
-    """Quadrature-level Gram system for one basis."""
-    _check_poles_inside(sampling, basis.S)
-    z, lam = sampling.nodes()
-    root = np.sqrt(lam)
-    B = _basis_values(basis.S, basis.k, z, root)
-    v = B @ root
-    # B.T is the Fortran-ordered view of B; herk's upper triangle of
-    # (B.T)^H B.T = conj(B B^H) is the lower triangle of C = B B^H
-    H = scipy.linalg.blas.zherk(1.0, B.T, trans=2)
+def _by_class(a):
+    """(n, N) per-curve node rows -> (4, n N/4), row c holding the nodes
+    whose grid index is c mod 4."""
+    n, N = a.shape
+    return a.reshape(n, N // 4, 4).transpose(2, 0, 1).reshape(4, -1)
+
+
+def _hermitian(H):
+    """C = B B^H from herk's upper triangle H of conj(B B^H)."""
     C = np.triu(H, 1).T
     C += np.triu(H).conj()
-    G, w, b = _realify(C, v, basis.elements)
-    return GramSystem(G=G, w=w, b=b, c0=float(lam.sum()))
+    return C
+
+
+def assemble_gram(sampling, basis):
+    """Quadrature-level Gram system for one basis, with the difference
+    systems of the nested grids N/2 and N/4 in its steps."""
+    _check_poles_inside(sampling, basis.S)
+    z, lam = sampling.nodes()
+    shape = sampling.weights.shape
+    root = _by_class(np.sqrt(lam).reshape(shape))
+    B = _basis_values(basis.S, basis.k, _by_class(z.reshape(shape)), root)
+    v = (B @ root[:, :, None])[..., 0]
+    # Bc.T is the Fortran-ordered view of the C-contiguous class block Bc;
+    # herk's upper triangle of (Bc.T)^H Bc.T = conj(Bc Bc^H) is the lower
+    # triangle of the class Gram Bc Bc^H
+    H = np.stack([scipy.linalg.blas.zherk(1.0, Bc.T, trans=2) for Bc in B])
+    c = lam.reshape(shape[0], -1, 4).sum(axis=(0, 1))
+    G, w, b = _realify(_hermitian(H.sum(axis=0)), v.sum(axis=0), basis.elements)
+    steps = []
+    # C_{N/2} - C_N = C_0 - C_1 + C_2 - C_3 and C_{N/4} - C_{N/2} = 2 (C_0 - C_2)
+    for s in (np.array([1.0, -1.0, 1.0, -1.0]), np.array([2.0, 0.0, -2.0, 0.0])):
+        Gd, wd, bd = _realify(_hermitian(np.tensordot(s, H, 1)), s @ v, ())
+        steps.append(GramSystem(G=Gd, w=wd, b=bd, c0=float(s @ c)))
+    return GramSystem(G=G, w=w, b=b, c0=float(lam.sum()), steps=tuple(steps))
 
 
 def _solve_spd(G, rhs):
@@ -166,7 +206,7 @@ def _solve_spd(G, rhs):
     Condition estimates above COND_LIMIT (or outright factorization failure)
     trigger a tiny relative ridge; the result is then flagged uncertified.
     By eigenvalue interlacing no leading block is worse conditioned than G.
-    Returns (half-solves, certified).
+    Returns (half-solves, certified, L, d).
     """
     d = np.sqrt(np.abs(np.diag(G)))
     d[d == 0] = 1.0
@@ -190,7 +230,36 @@ def _solve_spd(G, rhs):
         raise IllConditioned("Gram factorization failed even with ridge fallback")
     # cho_factor leaves the upper triangle of L unzeroed; trtrs never reads it
     ys = scipy.linalg.solve_triangular(L, np.stack(rhs, axis=1) / d[:, None], lower=True)
-    return ys.T, certified
+    return ys.T, certified, L, d
+
+
+def _quad_error(gram, L, d, yw, yb, sizes):
+    """Largest change of any row from grid N to N/2 and from N/2 to N/4.
+
+    Row k's extremal functions are g_k = 1 - sum x_k phi and h_k = sum z_k phi
+    with x_k = G_k^{-1} w_k and z_k = G_k^{-1} b_k on the leading block of
+    size sizes[k-1]; one solve with L^T over the half-solves masked to each
+    block gives them all.  The upper row is ||g_k||^2 and the lower row
+    2 z_k^T b - ||h_k||^2 with b exact, so on a coarser grid they move by
+    the difference system's quadratic forms in x_k and z_k.
+
+    Both changes count: near marginal the N -> N/2 change alone can fall
+    short of the error at N even when the three levels contract (on the
+    benchmark's 32 near-marginal maps at N = 4096 it fails to cover 7 of the
+    19 that miss their reference; the larger of the two covers all 32).
+    """
+    mask = np.arange(d.size)[:, None] < sizes
+    Y = np.concatenate((yw[:, None] * mask, yb[:, None] * mask), axis=1)
+    U = scipy.linalg.solve_triangular(L, Y, lower=True, trans="T") / d[:, None]
+    X = U[:, : sizes.size]
+    err = 0.0
+    for step in gram.steps:
+        # x_k^T dG x_k in the first kmax columns, z_k^T dG z_k in the rest;
+        # the upper rows also move with c0 and w
+        forms = (U * (step.G @ U)).sum(axis=0)
+        forms[: sizes.size] += step.c0 - 2.0 * (step.w @ X)
+        err = max(err, np.abs(forms).max())
+    return float(err)
 
 
 @dataclass(frozen=True)
@@ -200,6 +269,7 @@ class CapacityBounds:
     map_echo: object
     N: int
     certified: bool
+    quad_error: float = 0.0  # estimated trapezoid error of every row at N
 
     def row(self, k):
         for row in self.rows:
@@ -212,49 +282,43 @@ class CapacityBounds:
         return self.rows[-1]
 
 
-def bounds_sequence(R, kmax, N=DEFAULT_N, S_override=None):
-    """Bound rows for k = 1..kmax from a single boundary trace at resolution N.
+def bounds_sequence(R, kmax, N=None, S_override=None):
+    """Bound rows for k = 1..kmax from a single boundary trace.
 
-    The kmax Gram is assembled and factored once.  In the order-major basis
-    the span for k is the first 2|S|k real slots, so row k reads the prefix
-    sums of the two half-solves at slot 2|S|k - 1; certified is the condition
-    test of the kmax Gram, which bounds every row's leading block.
+    The kmax Gram is assembled and factored once per trace.  In the
+    order-major basis the span for k is the first 2|S|k real slots, so row
+    k reads the prefix sums of the two half-solves at slot 2|S|k - 1.  certified is the
+    condition test of the kmax Gram, which bounds every row's leading block,
+    together with quad_error <= QUAD_TOL.
+
+    An explicit N is used as given.  N=None traces at the automatic
+    resolution and, while the Gram passes its condition test but quad_error
+    exceeds QUAD_TOL, doubles N up to DEFAULT_N; an ill-conditioned Gram
+    never escalates, since its nested-grid changes measure the ridge.
     """
     kmax = int(kmax)
     sampling = trace(R, N=N)
     basis = enumerate_basis(R, kmax, S_override=S_override)
-    gram = assemble_gram(sampling, basis)
-    (yw, yb), certified = _solve_spd(gram.G, [gram.w, gram.b])
-    ends = 2 * basis.S.size * np.arange(1, kmax + 1) - 1
-    lowers = np.cumsum(yb * yb)[ends].tolist()
-    uppers = (gram.c0 - np.cumsum(yw * yw)[ends]).tolist()
+    sizes = 2 * basis.S.size * np.arange(1, kmax + 1)
+    while True:
+        gram = assemble_gram(sampling, basis)
+        (yw, yb), conditioned, L, d = _solve_spd(gram.G, [gram.w, gram.b])
+        quad_error = _quad_error(gram, L, d, yw, yb, sizes)
+        escalate = N is None and conditioned and quad_error > QUAD_TOL
+        if not escalate or sampling.N >= DEFAULT_N:
+            break
+        sampling = trace(R, N=2 * sampling.N)
+    lowers = np.cumsum(yb * yb)[sizes - 1].tolist()
+    uppers = (gram.c0 - np.cumsum(yw * yw)[sizes - 1]).tolist()
     rows = list(zip(range(1, kmax + 1), lowers, uppers))
     return CapacityBounds(
         rows=rows,
         R_prime_inf=R.derivative_at_infinity(),
         map_echo=R,
-        N=N,
-        certified=certified,
+        N=sampling.N,
+        certified=conditioned and quad_error <= QUAD_TOL,
+        quad_error=quad_error,
     )
-
-
-def bounds_sequence_adaptive(R, kmax, N=DEFAULT_N, tol=DEFAULT_TOL, n_limit=None):
-    """bounds_sequence with resolution doubling until no row moves by more
-    than tol (or the node limit is reached)."""
-    from .boundary import MAX_N
-
-    n_limit = MAX_N if n_limit is None else n_limit
-    cur = bounds_sequence(R, kmax, N=N)
-    while 2 * N <= n_limit:
-        nxt = bounds_sequence(R, kmax, N=2 * N)
-        move = max(
-            max(abs(a[1] - b[1]), abs(a[2] - b[2]))
-            for a, b in zip(cur.rows, nxt.rows)
-        )
-        cur, N = nxt, 2 * N
-        if move <= tol:
-            break
-    return cur
 
 
 class Ahlfors:
@@ -273,15 +337,17 @@ class AhlforsVerdict:
 
 
 def verdict(bounds, tol=DEFAULT_TOL):
-    """Compare the final bracket with the derivative at infinity.
+    """Compare the final bracket, widened by the quadrature-error estimate,
+    with the derivative at infinity.
 
     A map is extremal only if its derivative at infinity is real, positive,
-    and equal to the capacity; a lower bound beyond it refutes extremality,
-    a bracket containing it is consistent, anything else is numerically
-    anomalous and reported inconclusive.
+    and equal to the capacity; a lower bound beyond it by more than tol plus
+    the estimate refutes extremality, a bracket containing it is consistent,
+    anything else is numerically anomalous and reported inconclusive.
     """
     s = bounds.R_prime_inf
     k, low, up = bounds.final
+    low, up = low - bounds.quad_error, up + bounds.quad_error
     if abs(s.imag) > 1e-12 or s.real <= 0:
         return AhlforsVerdict(status=Ahlfors.NOT_AHLFORS, margin=0.0, k_used=k)
     sr = s.real

@@ -167,10 +167,13 @@ def format_map(R):
 
 
 def validate_params(kmax, nodes, tol):
-    """The argument checks every subcommand applies; ValueError on failure."""
+    """The argument checks every subcommand applies; ValueError on failure.
+    nodes=None leaves the resolution to the program."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if nodes < 64 or nodes > boundary.MAX_N or (nodes & (nodes - 1)) != 0:
+    if nodes is not None and (
+        nodes < 64 or nodes > boundary.MAX_N or (nodes & (nodes - 1)) != 0
+    ):
         raise ValueError(f"nodes must be a power of two in [64, {boundary.MAX_N}]")
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -181,7 +184,7 @@ class JobConfig:
     map: RationalMapPF
     map_text: str = ""
     kmax: int = 5
-    nodes: int = boundary.DEFAULT_N
+    nodes: int | None = None  # None: chosen from the critical values
     tol: float = capacity.DEFAULT_TOL
     paths: dict = field(default_factory=dict)
 
@@ -404,7 +407,7 @@ def example_map(example_id):
     return parse_map(_EXAMPLE_TEXT[example_id])
 
 
-def repro(example_id, kmax=None, nodes=boundary.DEFAULT_N):
+def repro(example_id, kmax=None, nodes=None):
     """Recompute a built-in example and tabulate against its reference rows.
 
     Returns (bounds, csv_text).  Differences are reported, never asserted;
@@ -430,10 +433,9 @@ def repro(example_id, kmax=None, nodes=boundary.DEFAULT_N):
 
 def _run_repro(args):
     kmax = max(REFERENCE_BOUNDS[args.example]) if args.kmax is None else args.kmax
-    nodes = boundary.DEFAULT_N if args.nodes is None else args.nodes
     tol = capacity.DEFAULT_TOL if args.tol is None else args.tol
-    validate_params(kmax, nodes, tol)
-    bounds, csv_text = repro(args.example, kmax=kmax, nodes=nodes)
+    validate_params(kmax, args.nodes, tol)
+    bounds, csv_text = repro(args.example, kmax=kmax, nodes=args.nodes)
     _emit(csv_text, args.out)
     av = capacity.verdict(bounds, tol=tol)
     note = " (numerical evidence only)" if args.example == 5 else ""
@@ -443,6 +445,12 @@ def _run_repro(args):
         f"{'yes' if bounds.certified else 'no'}\n"
     )
     return 0
+
+
+_NODES_HELP = (
+    "trace resolution, a power of two (default: chosen from the critical "
+    f"values, {boundary.AUTO_N_MIN}..{boundary.DEFAULT_N})"
+)
 
 
 def _build_parser():
@@ -461,7 +469,7 @@ def _build_parser():
         sp.add_argument("--map", dest="map_text", help="map expression")
         sp.add_argument("--config", dest="config_path", help="key = value file")
         sp.add_argument("--kmax", type=int, help="largest pole order (default 5)")
-        sp.add_argument("--nodes", type=int, help=f"trace resolution (default {boundary.DEFAULT_N})")
+        sp.add_argument("--nodes", type=int, help=_NODES_HELP)
         sp.add_argument("--tol", type=float, help="verdict tolerance (default 1e-6)")
         sp.add_argument("--out", help="output path (default stdout)")
         if name == "trace":
@@ -469,7 +477,7 @@ def _build_parser():
     rp = sub.add_parser("repro", help="rerun a built-in example against reference values")
     rp.add_argument("example", type=int, choices=range(1, 7))
     rp.add_argument("--kmax", type=int)
-    rp.add_argument("--nodes", type=int)
+    rp.add_argument("--nodes", type=int, help=_NODES_HELP)
     rp.add_argument("--tol", type=float)
     rp.add_argument("--out")
     return p

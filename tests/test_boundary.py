@@ -58,6 +58,12 @@ def test_disk_quadrature_oracles():
     assert abs(np.sum(lam * g)) < 1e-12
 
 
+def test_weights_are_speed_over_n():
+    sampling = boundary.trace(example_map(1), N=1024)
+    for curve, lam in zip(sampling.curves, sampling.weights):
+        assert np.array_equal(lam, curve.speed / sampling.N)
+
+
 def test_quad_inner_is_hermitian():
     rng = np.random.default_rng(37)
     R = random_good_map(rng, 2)

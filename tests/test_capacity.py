@@ -1,6 +1,8 @@
 """Gram assembly, two-sided capacity bounds, and extremality verdicts."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ import scipy.linalg
 
 from capax import boundary, capacity
 from capax.cli import REFERENCE_BOUNDS, example_map, parse_map
-from capax.errors import EmptyBasis, IllConditioned
+from capax.errors import EmptyBasis, IllConditioned, TrackingAmbiguity
 from capax.ratmap import RationalMapPF, affine_conjugate
 
 from conftest import random_good_map
-from test_boundary import DEGREE16_0
+from test_boundary import DEGREE16_0, MARGINAL_AMBIGUOUS
+
+BANK_PATH = Path(__file__).resolve().parents[1] / "pipebench" / "bank.json"
 
 
 def disk_map(a=0.6, p=0.0 + 0.0j):
@@ -123,10 +127,11 @@ def test_s_override_validation_and_use():
 
 def test_adaptive_resolution_reports_final_n():
     R = disk_map(0.8, 0.1j)
-    bounds = capacity.bounds_sequence_adaptive(R, 2, N=128, tol=1e-8, n_limit=1024)
-    assert bounds.N in (256, 512, 1024)
-    _, low, up = bounds.final
-    assert abs(low - 0.8) < 1e-10 and abs(up - 0.8) < 1e-10
+    bounds = capacity.bounds_sequence(R, 2)
+    assert bounds.N == 256
+    assert bounds.quad_error <= capacity.QUAD_TOL
+    for _, low, up in bounds.rows:
+        assert abs(low - 0.8) < 1e-10 and abs(up - 0.8) < 1e-10
 
 
 def test_certified_flag_flips_on_hard_problems():
@@ -182,10 +187,33 @@ def test_verdict_inconclusive_branch():
     assert v.margin == pytest.approx(0.05)
 
 
-def _reference_gram(sampling, basis):
+def test_verdict_refutes_only_beyond_tol_plus_quad_error():
+    # the lower bound exceeds the residue sum by more than tol but by less
+    # than tol + quad_error
+    rows = [(1, 0.5 + 5e-6, 0.6)]
+    exact = capacity.CapacityBounds(
+        rows=rows, R_prime_inf=0.5 + 0j, map_echo=None, N=64, certified=True
+    )
+    assert capacity.verdict(exact, tol=1e-6).status == capacity.Ahlfors.NOT_AHLFORS
+    rough = capacity.CapacityBounds(
+        rows=rows, R_prime_inf=0.5 + 0j, map_echo=None, N=64, certified=False,
+        quad_error=1e-5,
+    )
+    v = capacity.verdict(rough, tol=1e-6)
+    assert v.status == capacity.Ahlfors.CONSISTENT
+    assert v.margin == pytest.approx(0.1 + 2e-5 - 5e-6)
+    # example 6's refutation survives its estimate at the default N
+    six = capacity.bounds_sequence(example_map(6), max(REFERENCE_BOUNDS[6]))
+    assert capacity.verdict(six).status == capacity.Ahlfors.NOT_AHLFORS
+
+
+def _reference_gram(sampling, basis, every=1):
     """The plain assembly: powers by **j, C = (B * lam) @ B^H, then the
-    Hermitian part."""
+    Hermitian part; every > 1 assembles the trapezoid Gram of the grid of
+    N / every nodes, which has the weights every * lam."""
     z, lam = sampling.nodes()
+    keep = np.arange(z.size) % every == 0
+    z, lam = z[keep], every * lam[keep]
     B = np.array([(1.0 / (z - p)) ** j for p, j in basis.elements])
     C = (B * lam) @ B.conj().T
     C = 0.5 * (C + C.conj().T)
@@ -219,6 +247,13 @@ def test_gram_matches_plain_assembly(example, kmax, degree16_sampling):
     assert (np.abs(gram.w - w) / d).max() <= 1e-13
     assert gram.c0 == c0
     assert np.array_equal(gram.G, gram.G.T)
+    # the steps are the changes from grid N to N/2 and from N/2 to N/4
+    coarser = [_reference_gram(sampling, basis, every) for every in (2, 4)]
+    for step, fine, coarse in zip(gram.steps, [(G, w, c0)] + coarser, coarser):
+        assert (np.abs(step.G - (coarse[0] - fine[0])) / np.outer(d, d)).max() <= 1e-13
+        assert (np.abs(step.w - (coarse[1] - fine[1])) / d).max() <= 1e-13
+        assert abs(step.c0 - (coarse[2] - fine[2])) <= 1e-13 * c0
+        assert not step.b.any()
 
 
 def test_gram_assembly_holds_one_basis_matrix(degree16_sampling):
@@ -301,7 +336,7 @@ def _per_k_rows(R, kmax):
 def test_rows_match_per_k_solves(R, kmax):
     bounds = capacity.bounds_sequence(R, kmax)
     rows, certified = _per_k_rows(R, kmax)
-    assert bounds.certified == certified
+    assert bounds.certified == (certified and bounds.quad_error <= capacity.QUAD_TOL)
     # an uncertified kmax Gram's ridge reaches every row, while the reference
     # ridges only the rows whose own block fails the condition test
     tol = 1e-13 if certified else 1e-6
@@ -337,3 +372,36 @@ def test_traced_poles_are_not_wound_again(monkeypatch):
     # trace winds each of its 16 curves about the 16 poles; assemble_gram
     # winds none of them again
     assert calls == [16] * 16
+
+
+def test_degree16_default_resolution():
+    R = parse_map(DEGREE16_0)
+    auto = capacity.bounds_sequence(R, 4)
+    assert auto.N == 256 and auto.certified
+    assert auto.quad_error <= capacity.QUAD_TOL
+    fine = capacity.bounds_sequence(R, 4, N=4096)
+    assert np.abs(np.array(auto.rows) - np.array(fine.rows)).max() <= 1e-12
+
+
+def test_marginal_estimate_covers_the_reference():
+    job = next(j for j in json.loads(BANK_PATH.read_text())["marginal"] if j["id"] == "marginal-0")
+    assert job["map"] == MARGINAL_0
+    bounds = capacity.bounds_sequence(parse_map(MARGINAL_0), job["kmax"])
+    assert bounds.N == boundary.DEFAULT_N
+    assert bounds.certified is False
+    e = bounds.quad_error
+    for (k, low, up), (kr, rlow, rup) in zip(bounds.rows, job["oracle"]["rows"]):
+        assert k == kr and low - e <= rlow and rup <= up + e
+
+
+def test_ambiguous_start_escalates(monkeypatch):
+    R = parse_map(MARGINAL_AMBIGUOUS)
+    with pytest.raises(TrackingAmbiguity):
+        boundary.trace(R, N=256)
+    monkeypatch.setattr(boundary, "start_n", lambda max_cv_modulus: 256)
+    assert boundary.trace(R).N == 512
+    bounds = capacity.bounds_sequence(R, 3)
+    assert bounds.N > 256
+    assert [r[0] for r in bounds.rows] == [1, 2, 3]
+    with pytest.raises(TrackingAmbiguity):
+        capacity.bounds_sequence(R, 3, N=256)

@@ -142,6 +142,19 @@ def test_bounds_csv_matches_library(tmp_path, capsys):
         assert abs(float(fu) - up) < 1e-12
 
 
+def test_bounds_default_resolution_matches_library(capsys):
+    assert main(["bounds", "--map", GOOD_TEXT, "--kmax", "3"]) == 0
+    auto = capsys.readouterr().out
+    assert auto == cli.bounds_csv(capacity.bounds_sequence(parse_map(GOOD_TEXT), 3))
+    assert main(["bounds", "--map", GOOD_TEXT, "--kmax", "3", "--nodes", "512"]) == 0
+    assert capsys.readouterr().out == (
+        "k,lower,upper\n"
+        "1,0.492562045464946,0.500047419736669\n"
+        "2,0.499952584760167,0.500003281768904\n"
+        "3,0.499996718252636,0.500000110442346\n"
+    )
+
+
 def test_trace_outputs(tmp_path, capsys):
     out = tmp_path / "nodes.csv"
     svg = tmp_path / "curves.svg"
