@@ -6,16 +6,22 @@ Each curve is therefore parametrized by t in [0, 2pi) through R(z(t)) = e^{it},
 and all n curves are sampled on one uniform t grid by following the n roots of
 P(z) - e^{it} Q(z) as t advances.
 
-Only every S-th node (S = 8 once N >= 512) is eigensolved.  These anchors are
-ordered by continuation: every hop between consecutive anchors is matched in
-one batch, in the solver's raw root order, by nearest neighbor with a
-factor-2 stability margin; a failed hop is retried on locally halved steps
-before giving up, and the hop permutations are then composed.  The nodes
-between two anchors are filled by a tangent predictor from the left anchor
-and Newton polishing.  A block (an anchor, its fill nodes and the next
-anchor) is kept when every fill root converged and every hop inside it is a
-stable identity match; otherwise its fill nodes are eigensolved and walked
-one grid step at a time, exactly as if every node had been eigensolved.
+The root sets come from numerics.solve_pf_rows, the partial-fraction Aberth
+kernel with the companion eigensolver as its fallback.  Only every S-th node
+(S = 8 once N >= 512) is solved this way, cold from the poles; the t = 0
+anchor is also the seed of the continuation.  These anchors are ordered by
+continuation: every hop between consecutive anchors is matched in one batch,
+in the solver's raw root order, by nearest neighbor with a factor-2
+stability margin; a failed hop is retried on locally halved steps, solved
+warm from the roots at its left end, before giving up, and the hop
+permutations are then composed.  The nodes between two anchors are filled by
+a tangent predictor from the left anchor and Newton polishing.  A block (an
+anchor, its fill nodes and the next anchor) is kept when every fill root
+converged and every hop inside it is a stable identity match; otherwise its
+fill nodes are solved cold and walked one grid step at a time, exactly as if
+every node had been solved.  Warm starts only feed the matching, never the
+nodes, and each row is solved independently of its batch, so that equality
+holds bit for bit.
 
 Uniform-grid (periodic trapezoid) sums over these analytic curves converge
 geometrically, with a rate set by the critical value v nearest the unit
@@ -125,11 +131,11 @@ def _walk(start, Z):
 def _refine_gap(left, t0, t1, solver, max_depth=_MAX_REFINE_DEPTH):
     """Re-walk (t0, t1] on successively halved substeps, at most
     2**max_depth, until every hop matches stably; returns the roots at t1 in
-    the order of left."""
+    the order of left.  Every substep is solved warm from left."""
     for depth in range(1, max_depth + 1):
         m = 1 << depth
         ts = t0 + (t1 - t0) * np.arange(1, m + 1) / m
-        Z, solved = solver(np.exp(1j * ts))
+        Z, solved = solver(np.exp(1j * ts), left)
         if not solved.all():
             continue
         perm, ok = _walk(left, Z)
@@ -283,30 +289,40 @@ def trace(R, N=None, check_good=True):
             N *= 2
 
 
-def _trace(R, N):
-    """trace at the grid size N, for a map already classified."""
-    n = R.n
+def _row_solver(R):
+    """The root solver of trace: solver(ws, Z0=None) returns the roots of
+    P - w Q for every w in ws, with a success flag per row, started from the
+    guesses Z0 (broadcast over the rows) or cold from the poles."""
     P, Q = as_fraction(R)
-    pc = np.zeros(n + 1, dtype=np.complex128)
-    pc[:n] = P
+    pc = np.zeros(R.n + 1, dtype=np.complex128)
+    pc[: R.n] = P
 
-    def solver(ws):
-        return numerics.solve_rows(pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
+    def solver(ws, Z0=None):
+        return numerics.solve_pf_rows(
+            R.residues, R.poles, pc, Q, ws, numerics.DEFAULT_ROOT_TOL, Z0
+        )
 
     def polish(ws, Z):
         return numerics.polish_rows(pc, Q, ws, Z, numerics.DEFAULT_ROOT_TOL)
 
+    return solver, polish
+
+
+def _trace(R, N):
+    """trace at the grid size N, for a map already classified."""
+    n = R.n
+    solver, polish = _row_solver(R)
     ts = 2.0 * np.pi * np.arange(N) / N
     S = min(_ANCHOR_STRIDE, N // 64)
-    # Seeds: the n distinct t = 0 roots, one per component for a good map.
-    # Which root lies on which component is settled after tracing by winding
-    # numbers; no geometric heuristic here (nearest-pole grouping misfires on
-    # good maps whose residue mass sits close to a neighboring component).
-    z0 = R.preimages(1.0)
-
-    # the anchor chain refines down to the same finest substep 2pi/(64N)
+    Za = _solve_grid(solver, ts[::S])
+    # Seeds: the n distinct t = 0 roots of the first anchor row, one per
+    # component for a good map.  Which root lies on which component is
+    # settled after tracing by winding numbers; no geometric heuristic here
+    # (nearest-pole grouping misfires on good maps whose residue mass sits
+    # close to a neighboring component).
+    # The anchor chain refines down to the same finest substep 2pi/(64N).
     depth = _MAX_REFINE_DEPTH + S.bit_length() - 1
-    Z = _order_chain(_solve_grid(solver, ts[::S]), ts[::S], z0, solver, depth)
+    Z = _order_chain(Za, ts[::S], Za[0], solver, depth)
     if S > 1:
         Z, block_ok = _fill(R, Z, ts, polish)
         bad = np.flatnonzero(~block_ok)

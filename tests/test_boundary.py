@@ -5,10 +5,10 @@ import types
 import numpy as np
 import pytest
 
-from capax import boundary, numerics
+from capax import boundary, numerics, ratmap
 from capax.cli import example_map, parse_map
 from capax.errors import ComponentCountMismatch, TrackingAmbiguity
-from capax.ratmap import RationalMapPF, as_fraction
+from capax.ratmap import RationalMapPF
 
 from conftest import random_good_map, random_not_good_map
 
@@ -184,7 +184,7 @@ def _seq_refine_gap(left, t0, t1, solver):
     for depth in range(1, boundary._MAX_REFINE_DEPTH + 1):
         m = 1 << depth
         ts = t0 + (t1 - t0) * np.arange(1, m + 1) / m
-        Z, ok = solver(np.exp(1j * ts))
+        Z, ok = solver(np.exp(1j * ts), left)
         if not ok.all():
             continue
         cur = left
@@ -232,18 +232,13 @@ def _seq_order_chain(Z, ts, z0, solver):
 
 def _chain_inputs(R, N):
     """Full-grid (Z, ts, z0, solver) for _order_chain: raw root sets at every
-    node of the uniform t grid, seeded by the t = 0 preimages."""
-    P, Q = as_fraction(R)
-    pc = np.zeros(R.n + 1, dtype=np.complex128)
-    pc[: R.n] = P
-
-    def solver(ws):
-        return numerics.solve_rows(pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
-
+    node of the uniform t grid from trace's row solver, seeded like trace by
+    the t = 0 row."""
+    solver, _ = boundary._row_solver(R)
     ts = 2.0 * np.pi * np.arange(N) / N
     Z, ok = solver(np.exp(1j * ts))
     assert ok.all()
-    return Z, ts, R.preimages(1.0), solver
+    return Z, ts, Z[0], solver
 
 
 # A near-marginal three-pole map (max |critical value| in [0.999, 0.9999])
@@ -373,17 +368,33 @@ def test_refill_must_join_the_next_anchor_in_order():
         boundary._refill(Z, ts, 0, Zraw[1:8], solver)
 
 
-def test_trace_eigensolves_only_the_anchors(monkeypatch):
-    rows = []
-    real_solve = numerics.solve_rows
+def test_trace_solves_only_the_anchors(monkeypatch):
+    kernel, eigen = [], []
+    real_aberth, real_solve = numerics.aberth_rows, numerics.solve_rows
+
+    def counting_aberth(a, p, ws, Z0):
+        kernel.append(len(ws))
+        return real_aberth(a, p, ws, Z0)
 
     def counting_solve(pc, qc, ws, tol):
-        rows.append(len(ws))
+        eigen.append(len(ws))
         return real_solve(pc, qc, ws, tol)
 
+    monkeypatch.setattr(numerics, "aberth_rows", counting_aberth)
     monkeypatch.setattr(numerics, "solve_rows", counting_solve)
     boundary.trace(parse_map(DEGREE16_0), N=4096)
-    assert sum(rows) == 4096 // 8
+    assert sum(kernel) == 4096 // 8
+    assert sum(eigen) == 0
+
+
+@pytest.mark.parametrize("R", TRACE_MAPS[::2])
+def test_trace_seeds_from_the_first_anchor(monkeypatch, R):
+    def no_preimages(*args):
+        raise AssertionError("trace must not solve for the seed separately")
+
+    monkeypatch.setattr(ratmap, "preimages", no_preimages)
+    sampling = boundary.trace(R())
+    assert len(sampling.curves) == R().n
 
 
 @pytest.mark.parametrize("M", [1, 2, 7, 4096])

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from capax import numerics
+from capax import boundary, numerics
+from capax.cli import example_map, parse_map
 from capax.errors import NonConvergence
+from capax.ratmap import RationalMapPF, as_fraction, is_n_good
+
+from test_boundary import DEGREE16_0, MARGINAL_REFINED
 
 
 def test_poly_trim_drops_leading_zeros():
@@ -147,3 +151,111 @@ def test_polish_rows_ok_matches_a_fresh_residual_check():
     ])
     assert ok.any() and not ok.all()
     assert np.array_equal(ok, fresh)
+
+
+# The partial-fraction Aberth kernel behind trace's row solver, on maps of
+# the benchmark bank's kinds (MARGINAL_REFINED is bank map marginal-0).
+
+BANK_STYLE_MAPS = [
+    pytest.param(lambda: example_map(1), id="example1"),
+    pytest.param(lambda: example_map(2), id="example2"),
+    pytest.param(lambda: example_map(6), id="example6"),
+    pytest.param(lambda: parse_map(DEGREE16_0), id="degree16-0"),
+    pytest.param(lambda: parse_map(MARGINAL_REFINED), id="marginal-0"),
+]
+
+
+def _pf_args(R):
+    P, Q = as_fraction(R)
+    pc = np.zeros(R.n + 1, dtype=np.complex128)
+    pc[: R.n] = P
+    return R.residues, R.poles, pc, Q
+
+
+def _anchor_ws(R):
+    """The anchor row points of trace at the map's default N."""
+    N = boundary.start_n(is_n_good(R).data.max_cv_modulus)
+    S = min(boundary._ANCHOR_STRIDE, N // 64)
+    return np.exp(2j * np.pi * np.arange(0, N, S) / N)
+
+
+def _counting_eigensolve(monkeypatch):
+    rows = []
+    real = numerics.solve_rows
+
+    def counting(pc, qc, ws, tol):
+        rows.append(len(ws))
+        return real(pc, qc, ws, tol)
+
+    monkeypatch.setattr(numerics, "solve_rows", counting)
+    return rows
+
+
+@pytest.mark.parametrize("R", BANK_STYLE_MAPS)
+def test_aberth_anchor_rows_match_the_eigensolver(monkeypatch, R):
+    R = R()
+    a, p, pc, Q = _pf_args(R)
+    ws = _anchor_ws(R)
+    ref, ref_ok = numerics.solve_rows(pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
+    fallback = _counting_eigensolve(monkeypatch)
+    Z, ok = numerics.solve_pf_rows(a, p, pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
+    assert fallback == [] and ok.all() and ref_ok.all()
+    # the same root set: the nearest-root assignment is a bijection
+    D = np.abs(Z[:, :, None] - ref[:, None, :])
+    assert (np.sort(D.argmin(axis=2), axis=1) == np.arange(R.n)).all()
+    rel = D.min(axis=2).max(axis=1) / np.abs(ref).max(axis=1)
+    assert rel.max() <= 1e-13
+
+
+def test_aberth_returns_the_exact_start_of_a_disk_map(monkeypatch):
+    # n = 1: p + a/w is the root itself, so f = 0 at the start
+    R = RationalMapPF([0.5], [0.25 - 0.5j])
+    a, p, pc, Q = _pf_args(R)
+    ws = np.exp(2j * np.pi * np.arange(64) / 64)
+    start = p + a / ws[:, None]
+    Z, done = numerics.aberth_rows(a, p, ws, start)
+    assert done.all()
+    assert np.abs(Z - start).max() <= 1e-15
+    fallback = _counting_eigensolve(monkeypatch)
+    Z, ok = numerics.solve_pf_rows(a, p, pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
+    assert ok.all() and fallback == []
+    assert np.abs(Z - start).max() <= 1e-15
+
+
+@pytest.mark.parametrize("R, N", [
+    pytest.param(lambda: example_map(1), 1024, id="example1"),
+    pytest.param(lambda: parse_map(DEGREE16_0), 256, id="degree16-0"),
+])
+@pytest.mark.parametrize("force", ["budget", "coincident"])
+def test_unsettled_rows_go_to_the_eigensolver(monkeypatch, R, N, force):
+    R = R()
+    expect = np.stack([c.z for c in boundary.trace(R, N=N).curves])
+    kernel_rows = []
+    real = numerics.aberth_rows
+
+    def forced(a, p, ws, Z0):
+        kernel_rows.append(len(ws))
+        if force == "coincident":
+            Z0 = np.full(p.size, p[0] + 1.0)  # every root starts at one point
+        return real(a, p, ws, Z0)
+
+    monkeypatch.setattr(numerics, "aberth_rows", forced)
+    if force == "budget":
+        monkeypatch.setattr(numerics, "_ABERTH_ITERS", 1)
+    fallback = _counting_eigensolve(monkeypatch)
+    got = np.stack([c.z for c in boundary.trace(R, N=N).curves])
+    assert sum(kernel_rows) > 0 and sum(fallback) == sum(kernel_rows)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("R", BANK_STYLE_MAPS[3:])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_aberth_rows_do_not_depend_on_the_batch(R, warm):
+    # 4096 rows make arrays above numpy's 256 KiB temporary-elision size
+    solver, _ = boundary._row_solver(R())
+    ws = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    Z0 = solver(ws[:1])[0][0] if warm else None
+    Z, ok = solver(ws, Z0)
+    for r in range(0, 4096, 331):
+        Zr, okr = solver(ws[r : r + 1], Z0)
+        assert np.array_equal(Zr[0], Z[r]) and okr[0] == ok[r]
