@@ -198,7 +198,8 @@ def _fill(R, Za, ts, polish):
     dz/dt = i e^{it} / R'(z) and then polished.  Returns the (N, n) nodes and,
     per block (an anchor, its S - 1 fill rows and the next anchor), whether
     every fill row converged and every hop of the block is a stable identity
-    match, which is what the full-grid walk would have found.
+    match (_identity_hops), which is what the full-grid walk would have
+    found.
     """
     N, (A, n) = ts.size, Za.shape
     S = N // A
@@ -206,10 +207,23 @@ def _fill(R, Za, ts, polish):
     Z = (Za[:, None] + ts[None, :S, None] * slope[:, None]).reshape(N, n)
     fill = np.arange(N) % S != 0
     Z[fill], converged = polish(np.exp(1j * ts[fill]), Z[fill])
-    perm, stable = _match_rows(Z, np.roll(Z, -1, axis=0))
-    good = stable & (perm == np.arange(n)).all(axis=1)
+    good = _identity_hops(Z)
     good[fill] &= converged
     return Z, good.reshape(A, S).all(axis=1)
+
+
+def _identity_hops(Z):
+    """Per row of the (M, n) root sets, whether the hop Z[m] -> Z[m + 1]
+    (cyclic) is a stable identity match: every root's own successor is
+    closer by more than STABILITY_RATIO than any other root of the next row.
+
+    Where this holds, _match_rows finds the identity and calls it stable;
+    the two differ only on exact distance ties, where this test rejects."""
+    n = Z.shape[1]
+    D = np.abs(Z[:, :, None] - np.roll(Z, -1, axis=0)[:, None, :])
+    own = D.reshape(len(Z), -1)[:, :: n + 1].copy()
+    D.reshape(len(Z), -1)[:, :: n + 1] = np.inf
+    return (D.min(axis=2) > STABILITY_RATIO * own).all(axis=1)
 
 
 def _refill(Z, ts, a, Zb, solver):

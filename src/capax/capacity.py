@@ -21,17 +21,22 @@ every row is a prefix sum, monotone in k by construction:
 
     u_k = c0 - sum_{s < 2|S|k} y_w[s]^2,    l_k = sum_{s < 2|S|k} y_b[s]^2.
 
-Only the m x m complex Gram is ever integrated; multiplication by i acts on
-it algebraically (the 2x2 real blocks below), which halves the quadrature
-work and keeps the real matrix exactly structured.
+Only the m elements themselves are integrated, through the products of
+their real and imaginary parts; multiplication by i acts on these
+algebraically (the 2x2 real blocks below), which halves the quadrature work
+and keeps the real matrix exactly structured.
 
 The quadrature weights lam are folded into the basis: row (p, j) holds
-sqrt(lam) (z - p)^{-j}, built by cumulative products, so the complex Gram
-sum_i lam_i phi_r(z_i) conj(phi_s(z_i)) is a Hermitian rank-k update (BLAS
-herk) of the basis array.  The array is laid out by grid index mod 4, one
-C-contiguous (m, nodes/4) block per class, and each block gets its own herk
-(the same flops as one herk over all nodes).  herk computes one triangle;
-mirroring it makes C exactly Hermitian.
+sqrt(lam) (z - p)^{-j}, built by cumulative products from the row
+sqrt(lam) of the constant function 1.  The array is laid out by grid index
+mod 4, one C-contiguous (1 + m, nodes/4) block per class.  Each complex row
+is split in place into its real and imaginary rows, so the class block
+becomes a real (2 + 2m, nodes/4) matrix X, and X X^T is one real symmetric
+rank-k update (BLAS syrk, through numpy's matmul) per class, with the same
+flops as the complex Hermitian one.  Its 2x2 blocks are the products of real
+and imaginary parts, which give the real Gram directly, and its first row
+gives w.  The factor and both triangular solves are plain numpy: Cholesky,
+then blockwise exact substitution.
 
 The class Grams C_0..C_3 give the trapezoid Grams of the nested grids for
 free: C_N = C_0 + C_1 + C_2 + C_3, C_{N/2} = 2 (C_0 + C_2) and C_{N/4} =
@@ -49,8 +54,6 @@ conditioned run misses QUAD_TOL.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
 
 from .boundary import DEFAULT_N, trace
 from .errors import EmptyBasis, IllConditioned
@@ -59,6 +62,8 @@ COND_LIMIT = 1e12
 RIDGE_REL = 1e-14
 DEFAULT_TOL = 1e-6
 QUAD_TOL = 1e-8
+_SPLIT_ROWS = 16  # complex basis rows per class de-interleaved at a time
+_SOLVE_BLOCK = 48  # diagonal block size of the triangular solves
 
 
 @dataclass(frozen=True)
@@ -99,43 +104,21 @@ class GramSystem:
 
 def _basis_values(S, k, z, scale):
     """Rows scale * (z - p)^{-j} over the node array z of shape (..., q),
-    p in S, 1 <= j <= k, in the order of enumerate_basis, via cumulative
-    products; the result has shape (..., |S| k, q).
+    p in S, 0 <= j <= k, via cumulative products: row 0 is scale itself (the
+    constant function 1, the one element with j = 0), then the elements in
+    the order of enumerate_basis; the result has shape (..., 1 + |S| k, q).
 
     The last block of rows holds 1/(z - p) until the last product overwrites
     it in place, so no second node-sized array is allocated."""
     n = S.size
-    B = np.empty(z.shape[:-1] + (n * k, z.shape[-1]), dtype=np.complex128)
-    inv = B[..., (k - 1) * n :, :]
+    B = np.empty(z.shape[:-1] + (1 + n * k, z.shape[-1]), dtype=np.complex128)
+    inv = B[..., 1 + (k - 1) * n :, :]
     np.reciprocal(np.subtract(z[..., None, :], S[:, None], out=inv), out=inv)
-    prev = scale[..., None, :]
+    B[..., 0, :] = scale
+    prev = B[..., :1, :]
     for j in range(k):
-        prev = np.multiply(prev, inv, out=B[..., j * n : (j + 1) * n, :])
+        prev = np.multiply(prev, inv, out=B[..., 1 + j * n : 1 + (j + 1) * n, :])
     return B
-
-
-def _realify(C, v, elements):
-    """Real Gram and linear data from the complex Gram.
-
-    Slot 2r is the real coefficient of element r, slot 2r+1 the imaginary
-    one; the identities <i f, i g> = <f, g> and <f, i g> = Im <f, g>_C fill
-    the 2x2 blocks without further integration.
-    """
-    m = C.shape[0]
-    G = np.empty((2 * m, 2 * m), dtype=np.float64)
-    G[0::2, 0::2] = C.real
-    G[1::2, 1::2] = C.real
-    G[0::2, 1::2] = C.imag
-    G[1::2, 0::2] = -C.imag
-    G = 0.5 * (G + G.T)
-    w = np.empty(2 * m, dtype=np.float64)
-    w[0::2] = v.real
-    w[1::2] = -v.imag
-    b = np.zeros(2 * m, dtype=np.float64)
-    for r, (_, j) in enumerate(elements):
-        if j == 1:
-            b[2 * r] = 1.0
-    return G, w, b
 
 
 def _check_poles_inside(sampling, S):
@@ -167,34 +150,101 @@ def _by_class(a):
     return a.reshape(n, N // 4, 4).transpose(2, 0, 1).reshape(4, -1)
 
 
-def _hermitian(H):
-    """C = B B^H from herk's upper triangle H of conj(B B^H)."""
-    C = np.triu(H, 1).T
-    C += np.triu(H).conj()
-    return C
+def _split_rows(B):
+    """Rewrite the complex (4, r, q) basis array in place as the real
+    (4, 2r, q) array of its real and imaginary rows: row 2i holds Re B[:, i]
+    and row 2i+1 holds Im B[:, i].
+
+    A complex row is the real row [re, im, re, im, ...], so de-interleaving
+    it in place gives the two rows.  _SPLIT_ROWS rows of a class at a time
+    pass through one small buffer, so no second basis-sized array is
+    allocated."""
+    q = B.shape[-1]
+    F = B.view(np.float64)
+    buf = np.empty((_SPLIT_ROWS, 2, q))
+    for Fc in F:
+        for r in range(0, Fc.shape[0], _SPLIT_ROWS):
+            blk = Fc[r : r + _SPLIT_ROWS]
+            tmp = buf[: blk.shape[0]]
+            np.copyto(tmp, blk.reshape(-1, q, 2).transpose(0, 2, 1))
+            blk[...] = tmp.reshape(blk.shape)
+    return F.reshape(4, -1, q)
+
+
+def _realify(P):
+    """Turn the real products of the split rows into the real Gram, in place.
+
+    P[..., 2r:2r+2, 2s:2s+2] holds the four products of the real and
+    imaginary parts of elements r and s.  Slot 2r is the real coefficient of
+    element r, slot 2r+1 the imaginary one; the identities
+    <i f, i g> = <f, g> and <f, i g> = Im <f, g>_C fill the 2x2 blocks, and
+    since P is exactly symmetric so is the result.
+    """
+    ee, oo = P[..., 0::2, 0::2], P[..., 1::2, 1::2]
+    eo, oe = P[..., 0::2, 1::2], P[..., 1::2, 0::2]
+    np.add(ee, oo, out=ee)
+    oo[...] = ee
+    np.subtract(oe, eo, out=eo)
+    np.negative(eo, out=oe)
+    return P
 
 
 def assemble_gram(sampling, basis):
     """Quadrature-level Gram system for one basis, with the difference
-    systems of the nested grids N/2 and N/4 in its steps."""
+    systems of the nested grids N/2 and N/4 in its steps.
+
+    Row 0 of the basis array is the constant function 1, so one product per
+    class gives the Gram together with w in row 0."""
     _check_poles_inside(sampling, basis.S)
     z, lam = sampling.nodes()
     shape = sampling.weights.shape
     root = _by_class(np.sqrt(lam).reshape(shape))
-    B = _basis_values(basis.S, basis.k, _by_class(z.reshape(shape)), root)
-    v = (B @ root[:, :, None])[..., 0]
-    # Bc.T is the Fortran-ordered view of the C-contiguous class block Bc;
-    # herk's upper triangle of (Bc.T)^H Bc.T = conj(Bc Bc^H) is the lower
-    # triangle of the class Gram Bc Bc^H
-    H = np.stack([scipy.linalg.blas.zherk(1.0, Bc.T, trans=2) for Bc in B])
+    X = _split_rows(_basis_values(basis.S, basis.k, _by_class(z.reshape(shape)), root))
+    # X[c] @ X[c].T is a symmetric rank-k update (BLAS syrk) of class c
+    P = X @ X.transpose(0, 2, 1)
+    # in place: P[0] <- grid N, C_0 + C_1 + C_2 + C_3; P[1] <- the change to
+    # N/2, C_0 - C_1 + C_2 - C_3; P[2] <- the change from N/2 to N/4,
+    # 2 (C_0 - C_2); each one exactly symmetric
+    np.add(P[1], P[3], out=P[3])
+    np.add(P[0], P[2], out=P[1])
+    np.subtract(P[0], P[2], out=P[2])
+    P[2] *= 2.0
+    np.add(P[1], P[3], out=P[0])
+    np.subtract(P[1], P[3], out=P[1])
+    G = _realify(P[:3])
     c = lam.reshape(shape[0], -1, 4).sum(axis=(0, 1))
-    G, w, b = _realify(_hermitian(H.sum(axis=0)), v.sum(axis=0), basis.elements)
-    steps = []
-    # C_{N/2} - C_N = C_0 - C_1 + C_2 - C_3 and C_{N/4} - C_{N/2} = 2 (C_0 - C_2)
-    for s in (np.array([1.0, -1.0, 1.0, -1.0]), np.array([2.0, 0.0, -2.0, 0.0])):
-        Gd, wd, bd = _realify(_hermitian(np.tensordot(s, H, 1)), s @ v, ())
-        steps.append(GramSystem(G=Gd, w=wd, b=bd, c0=float(s @ c)))
-    return GramSystem(G=G, w=w, b=b, c0=float(lam.sum()), steps=tuple(steps))
+    b = np.zeros(G.shape[-1] - 2)
+    for r, (_, j) in enumerate(basis.elements):
+        if j == 1:
+            b[2 * r] = 1.0
+    steps = tuple(
+        GramSystem(G=G[i, 2:, 2:], w=G[i, 0, 2:], b=np.zeros_like(b), c0=float(dc))
+        for i, dc in ((1, c[0] - c[1] + c[2] - c[3]), (2, 2.0 * (c[0] - c[2])))
+    )
+    return GramSystem(G=G[0, 2:, 2:], w=G[0, 0, 2:], b=b, c0=float(lam.sum()), steps=steps)
+
+
+def _back_substitute(U, Y):
+    """X with U X = Y for an upper triangular U with a positive diagonal.
+
+    Blocks of rows are solved from the bottom up: each diagonal block goes to
+    np.linalg.solve, whose partial pivoting never swaps rows of an upper
+    triangular block (every entry below the diagonal is zero), so its LU
+    factors are I and the block itself and the solve is exact back
+    substitution; one matrix product then eliminates the block from the rows
+    above."""
+    X = np.array(Y, dtype=np.float64)
+    for hi in range(U.shape[0], 0, -_SOLVE_BLOCK):
+        lo = max(hi - _SOLVE_BLOCK, 0)
+        X[lo:hi] = np.linalg.solve(U[lo:hi, lo:hi], X[lo:hi])
+        X[:lo] -= U[:lo, lo:hi] @ X[lo:hi]
+    return X
+
+
+def _forward_substitute(L, Y):
+    """X with L X = Y for a lower triangular L with a positive diagonal: the
+    reversal J L J is upper triangular, and L X = Y is (J L J)(J X) = J Y."""
+    return _back_substitute(np.ascontiguousarray(L[::-1, ::-1]), Y[::-1])[::-1]
 
 
 def _solve_spd(G, rhs):
@@ -219,17 +269,14 @@ def _solve_spd(G, rhs):
         ridge = RIDGE_REL * np.trace(Gs) / Gs.shape[0]
     for _ in range(4):
         try:
-            L, _ = scipy.linalg.cho_factor(
-                Gs + ridge * np.eye(Gs.shape[0]) if ridge else Gs, lower=True
-            )
+            L = np.linalg.cholesky(Gs + ridge * np.eye(Gs.shape[0]) if ridge else Gs)
             break
         except np.linalg.LinAlgError:
             certified = False
             ridge = max(ridge * 100.0, RIDGE_REL)
     else:
         raise IllConditioned("Gram factorization failed even with ridge fallback")
-    # cho_factor leaves the upper triangle of L unzeroed; trtrs never reads it
-    ys = scipy.linalg.solve_triangular(L, np.stack(rhs, axis=1) / d[:, None], lower=True)
+    ys = _forward_substitute(L, np.stack(rhs, axis=1) / d[:, None])
     return ys.T, certified, L, d
 
 
@@ -250,7 +297,7 @@ def _quad_error(gram, L, d, yw, yb, sizes):
     """
     mask = np.arange(d.size)[:, None] < sizes
     Y = np.concatenate((yw[:, None] * mask, yb[:, None] * mask), axis=1)
-    U = scipy.linalg.solve_triangular(L, Y, lower=True, trans="T") / d[:, None]
+    U = _back_substitute(L.T, Y) / d[:, None]
     X = U[:, : sizes.size]
     err = 0.0
     for step in gram.steps:
@@ -307,7 +354,8 @@ def bounds_sequence(R, kmax, N=None, S_override=None):
         escalate = N is None and conditioned and quad_error > QUAD_TOL
         if not escalate or sampling.N >= DEFAULT_N:
             break
-        sampling = trace(R, N=2 * sampling.N)
+        # the first trace has classified the map already
+        sampling = trace(R, N=2 * sampling.N, check_good=False)
     lowers = np.cumsum(yb * yb)[sizes - 1].tolist()
     uppers = (gram.c0 - np.cumsum(yw * yw)[sizes - 1]).tolist()
     rows = list(zip(range(1, kmax + 1), lowers, uppers))

@@ -425,3 +425,24 @@ def test_match_rows_rejects_only_the_bad_rows():
     for m, (_, _, expect) in enumerate(rows):
         if expect is not None:
             assert perm[m].tolist() == expect
+
+
+@pytest.mark.parametrize("R", TRACE_MAPS)
+def test_identity_hops_decide_like_match_rows(monkeypatch, R):
+    # _fill's direct identity-hop test against the general matcher it
+    # replaces, on the very rows _fill hands it
+    seen = []
+    real_hops = boundary._identity_hops
+
+    def recording(Z):
+        seen.append((Z.copy(), real_hops(Z)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(boundary, "_identity_hops", recording)
+    boundary.trace(R(), N=boundary.DEFAULT_N)
+    ((Z, good),) = seen
+    perm, stable = boundary._match_rows(Z, np.roll(Z, -1, axis=0))
+    expect = stable & (perm == np.arange(Z.shape[1])).all(axis=1)
+    assert np.array_equal(good, expect)
+    S = boundary._ANCHOR_STRIDE
+    assert np.array_equal(good.reshape(-1, S).all(axis=1), expect.reshape(-1, S).all(axis=1))

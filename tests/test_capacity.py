@@ -218,7 +218,14 @@ def _reference_gram(sampling, basis, every=1):
     C = (B * lam) @ B.conj().T
     C = 0.5 * (C + C.conj().T)
     v = B @ lam.astype(np.complex128)
-    G, w, _ = capacity._realify(C, v, basis.elements)
+    # slot 2r is the real coefficient of element r, slot 2r+1 the imaginary
+    # one: <i f, i g> = <f, g> and <f, i g> = Im <f, g>_C
+    G = np.empty((2 * len(C), 2 * len(C)))
+    G[0::2, 0::2] = G[1::2, 1::2] = C.real
+    G[0::2, 1::2] = C.imag
+    G[1::2, 0::2] = -C.imag
+    w = np.empty(2 * len(v))
+    w[0::2], w[1::2] = v.real, -v.imag
     return G, w, float(lam.sum())
 
 
@@ -345,16 +352,29 @@ def test_rows_match_per_k_solves(R, kmax):
         assert abs(l1 - l2) <= tol and abs(u1 - u2) <= tol
 
 
+@pytest.mark.parametrize("n", [1, capacity._SOLVE_BLOCK - 1, capacity._SOLVE_BLOCK + 1, 160])
+def test_substitutions_match_lapack(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+    Y = rng.standard_normal((n, 3))
+    for got, expect in [
+        (capacity._forward_substitute(L, Y), scipy.linalg.solve_triangular(L, Y, lower=True)),
+        (capacity._back_substitute(L.T, Y), scipy.linalg.solve_triangular(L.T, Y)),
+    ]:
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
 @pytest.mark.parametrize("example, kmax", [(1, 5), (2, 40)], ids=["example1", "example2-k40"])
 def test_one_factorization_per_bound_sequence(example, kmax, monkeypatch):
     calls = []
-    cho_factor = scipy.linalg.cho_factor
+    cholesky = np.linalg.cholesky
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
-        return cho_factor(*args, **kwargs)
+        return cholesky(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
     capacity.bounds_sequence(example_map(example), kmax, N=1024)
     assert calls == [(4 * kmax, 4 * kmax)]
 
@@ -405,3 +425,21 @@ def test_ambiguous_start_escalates(monkeypatch):
     assert [r[0] for r in bounds.rows] == [1, 2, 3]
     with pytest.raises(TrackingAmbiguity):
         capacity.bounds_sequence(R, 3, N=256)
+
+
+def test_escalation_classifies_the_map_once(monkeypatch):
+    # degree16-3 misses QUAD_TOL at N = 128 and escalates once; the re-trace
+    # at N = 256 must not classify the map again
+    job = next(j for j in json.loads(BANK_PATH.read_text())["degree16"] if j["id"] == "degree16-3")
+    calls = []
+    is_n_good = boundary.is_n_good
+
+    def counting(R):
+        calls.append(R)
+        return is_n_good(R)
+
+    monkeypatch.setattr(boundary, "start_n", lambda max_cv_modulus: 128)
+    monkeypatch.setattr(boundary, "is_n_good", counting)
+    bounds = capacity.bounds_sequence(parse_map(job["map"]), job["kmax"])
+    assert bounds.N == 256 and bounds.certified
+    assert len(calls) == 1
