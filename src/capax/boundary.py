@@ -8,20 +8,21 @@ P(z) - e^{it} Q(z) as t advances.
 
 The root sets come from numerics.solve_pf_rows, the partial-fraction Aberth
 kernel with the companion eigensolver as its fallback.  Only every S-th node
-(S = 8 once N >= 512) is solved this way, cold from the poles; the t = 0
-anchor is also the seed of the continuation.  These anchors are ordered by
-continuation: every hop between consecutive anchors is matched in one batch,
-in the solver's raw root order, by nearest neighbor with a factor-2
-stability margin; a failed hop is retried on locally halved steps, solved
-warm from the roots at its left end, before giving up, and the hop
-permutations are then composed.  The nodes between two anchors are filled by
-a tangent predictor from the left anchor and Newton polishing.  A block (an
-anchor, its fill nodes and the next anchor) is kept when every fill root
-converged and every hop inside it is a stable identity match; otherwise its
-fill nodes are solved cold and walked one grid step at a time, exactly as if
-every node had been solved.  Warm starts only feed the matching, never the
-nodes, and each row is solved independently of its batch, so that equality
-holds bit for bit.
+(S = 8 once N >= 512) is solved this way, cold from the poles.  One walk
+(_continue) puts rows in order: from an ordered row it matches every hop over
+raw rows at their grid times in one batch, in the solver's raw root order, by
+nearest neighbor with a factor-2 stability margin, and composes the hop
+permutations.  A failed hop is re-walked on locally halved substeps, solved
+warm from its left end and ending on the raw row at its right end, before
+giving up.  The anchor chain walks from the first anchor and closes on it at
+ts[0] + 2pi, where it must come back unpermuted.  The nodes between two
+anchors are filled by a tangent predictor from the left anchor and Newton
+polishing.  A block (an anchor, its fill nodes and the next anchor) is kept
+when every fill root converged and every hop inside it is a stable identity
+match; otherwise its fill nodes are solved cold and walked one grid step at a
+time onto the next anchor at its grid time, exactly as if every node had been
+solved.  Warm starts only feed the matching, never the nodes, and each row is
+solved independently of its batch, so that equality holds bit for bit.
 
 Uniform-grid (periodic trapezoid) sums over these analytic curves converge
 geometrically, with a rate set by the critical value v nearest the unit
@@ -81,6 +82,11 @@ def start_n(max_cv_modulus):
     return N
 
 
+def valid_n(N):
+    """Whether N is a grid size trace accepts: a power of two in [64, MAX_N]."""
+    return 64 <= N <= MAX_N and (N & (N - 1)) == 0
+
+
 def _match_rows(prev, new):
     """Nearest-neighbor assignments prev[m, i] -> new[m, perm[m, i]] for a
     batch of (M, n) root sets.
@@ -103,12 +109,6 @@ def _match_rows(prev, new):
     return perm, ok
 
 
-def _match(prev, new):
-    """One-row _match_rows: the permutation, or None if it is not stable."""
-    perm, ok = _match_rows(prev[None], new[None])
-    return perm[0] if ok[0] else None
-
-
 def _compose(P):
     """Prefix compositions C[i] = P[i][P[i-1][...P[0]]] of the (M, n)
     permutation rows P, by log-depth doubling."""
@@ -120,27 +120,22 @@ def _compose(P):
     return C
 
 
-def _walk(start, Z):
-    """Match start -> Z[0] and every hop Z[r-1] -> Z[r] in one batch.
-
-    Returns (perm, ok) per hop; each hop is matched in raw solver order.
-    """
-    return _match_rows(np.concatenate((start[None], Z[:-1])), Z)
-
-
-def _refine_gap(left, t0, t1, solver, max_depth=_MAX_REFINE_DEPTH):
-    """Re-walk (t0, t1] on successively halved substeps, at most
-    2**max_depth, until every hop matches stably; returns the roots at t1 in
-    the order of left.  Every substep is solved warm from left."""
+def _refine_gap(left, t0, t1, target, solver, max_depth=_MAX_REFINE_DEPTH):
+    """Re-walk the hop from left at t0 to the raw roots target at t1 on
+    successively halved substeps, at most 2**max_depth, until every hop
+    matches stably.  The substeps before t1 are solved warm from left; t1 is
+    not solved again.  Returns the permutation with target[perm] ordered like
+    left."""
     for depth in range(1, max_depth + 1):
         m = 1 << depth
-        ts = t0 + (t1 - t0) * np.arange(1, m + 1) / m
+        ts = t0 + (t1 - t0) * np.arange(1, m) / m
         Z, solved = solver(np.exp(1j * ts), left)
         if not solved.all():
             continue
-        perm, ok = _walk(left, Z)
+        rows = np.concatenate((left[None], Z, target[None]))
+        perm, ok = _match_rows(rows[:-1], rows[1:])
         if ok.all():
-            return Z[-1][_compose(perm)[-1]]
+            return _compose(perm)[-1]
     raise TrackingAmbiguity(
         f"continuation between t = {t0:.6f} and t = {t1:.6f} stayed ambiguous "
         f"after {1 << max_depth} substeps; double N"
@@ -148,47 +143,37 @@ def _refine_gap(left, t0, t1, solver, max_depth=_MAX_REFINE_DEPTH):
 
 
 def _continue(left, t0, Z, ts, solver, max_depth=_MAX_REFINE_DEPTH):
-    """Order the raw root sets Z at ts by continuation from the ordered roots
-    left at t0 < ts[0].
+    """The one walk of trace: continue the ordered roots left at t0 over the
+    raw root sets Z at the grid times ts, t0 < ts[0] < ts[1] < ...
 
     Every hop is matched in raw solver order at once; only the hops that
-    fail go to _refine_gap, and the hop permutations are then composed.
+    fail go to _refine_gap.  Returns the composed permutations C, with
+    Z[i][C[i]] ordered like left.  A caller that knows where the walk must
+    end appends that row to Z and checks that C[-1] is the identity.
     """
-    perm, ok = _walk(left, Z)
-    lefts = np.concatenate((left[None], Z[:-1]))
+    rows = np.concatenate((left[None], Z))
+    perm, ok = _match_rows(rows[:-1], rows[1:])
     t_lefts = np.concatenate(([t0], ts[:-1]))
     for i in np.flatnonzero(~ok):
-        refined = _refine_gap(lefts[i], t_lefts[i], ts[i], solver, max_depth)
-        p = _match(refined, Z[i])
-        if p is None:
-            raise TrackingAmbiguity(
-                f"continuation at t = {ts[i]:.6f} remained ambiguous after refinement"
-            )
-        perm[i] = p
-    return np.take_along_axis(Z, _compose(perm), axis=1)
+        perm[i] = _refine_gap(rows[i], t_lefts[i], ts[i], Z[i], solver, max_depth)
+    return _compose(perm)
 
 
-def _order_chain(Z, ts, z0, solver, max_depth=_MAX_REFINE_DEPTH):
-    """Impose continuity in t on per-step root sets.  Returns the ordered
-    (N, n) array; raises on irreparable ambiguity or nontrivial monodromy.
+def _order_chain(Z, ts, solver, max_depth=_MAX_REFINE_DEPTH):
+    """Impose continuity in t on the raw root sets Z at the grid times ts:
+    walk from Z[0] over Z[1:] and close on Z[0] at ts[0] + 2pi.  Returns the
+    ordered (N, n) array; raises TrackingAmbiguity on irreparable ambiguity
+    and ComponentCountMismatch when the walk comes back permuted.
     """
-    n = Z.shape[1]
-    if _match(z0, Z[0]) is None:
-        raise TrackingAmbiguity("seed roots did not match the first step")
-    out = _continue(z0, ts[0], Z, ts, solver, max_depth)
-    # closing the loop from t_{N-1} to 2pi must restore the seed assignment
-    wrap = _match(out[-1], out[0])
-    if wrap is None:
-        refined = _refine_gap(out[-1], ts[-1], 2.0 * np.pi, solver, max_depth)
-        wrap = _match(refined, out[0])
-        if wrap is None:
-            raise TrackingAmbiguity("closing step remained ambiguous after refinement")
-    if np.any(wrap != np.arange(n)):
+    W = np.roll(Z, -1, axis=0)
+    tw = np.append(ts[1:], ts[0] + 2.0 * np.pi)
+    C = _continue(Z[0], ts[0], W, tw, solver, max_depth)
+    if np.any(C[-1] != np.arange(Z.shape[1])):
         raise ComponentCountMismatch(
             "tracking around the full circle permuted the roots; "
             "the level set does not split into n degree-1 curves"
         )
-    return out
+    return np.roll(np.take_along_axis(W, C, axis=1), 1, axis=0)
 
 
 def _fill(R, Za, ts, polish):
@@ -227,21 +212,21 @@ def _identity_hops(Z):
 
 
 def _refill(Z, ts, a, Zb, solver):
-    """Replace the fill rows after anchor row a by the eigensolved root sets
-    Zb, ordered by the full-grid walk; that walk must land on the next anchor
-    in the anchor chain's order."""
+    """Replace the fill rows after anchor row a by the Aberth-solved root sets
+    Zb, ordered by the full-grid walk over Zb and the next anchor, taken at
+    its grid time (ts[0] + 2pi after the last block); that walk must land on
+    the next anchor in the anchor chain's order."""
     N, n = Z.shape
     b = a + len(Zb)
-    Z[a + 1 : b + 1] = _continue(Z[a], ts[a], Zb, ts[a + 1 : b + 1], solver)
-    nxt = Z[(b + 1) % N]
-    p = _match(Z[b], nxt)
-    if p is None:
-        p = _match(_refine_gap(Z[b], ts[b], 2.0 * np.pi * (b + 1) / N, solver), nxt)
-    if p is None or np.any(p != np.arange(n)):
+    t_next = ts[b + 1] if b + 1 < N else ts[0] + 2.0 * np.pi
+    rows = np.concatenate((Zb, Z[(b + 1) % N][None]))
+    C = _continue(Z[a], ts[a], rows, np.append(ts[a + 1 : b + 1], t_next), solver)
+    if np.any(C[-1] != np.arange(n)):
         raise TrackingAmbiguity(
             f"the grid walk from t = {ts[a]:.6f} did not reach the next anchor "
             "in the anchor chain's order"
         )
+    Z[a + 1 : b + 1] = np.take_along_axis(Zb, C[:-1], axis=1)
 
 
 def _solve_grid(solver, ts):
@@ -282,7 +267,7 @@ def trace(R, N=None, check_good=True):
     """
     if N is not None:
         N = int(N)
-        if N < 64 or N > MAX_N or (N & (N - 1)) != 0:
+        if not valid_n(N):
             raise ValueError(f"N must be a power of two in [64, {MAX_N}]")
     if check_good or N is None:
         verdict = is_n_good(R)
@@ -336,7 +321,7 @@ def _trace(R, N):
     # close to a neighboring component).
     # The anchor chain refines down to the same finest substep 2pi/(64N).
     depth = _MAX_REFINE_DEPTH + S.bit_length() - 1
-    Z = _order_chain(Za, ts[::S], Za[0], solver, depth)
+    Z = _order_chain(Za, ts[::S], solver, depth)
     if S > 1:
         Z, block_ok = _fill(R, Z, ts, polish)
         bad = np.flatnonzero(~block_ok)

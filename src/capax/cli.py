@@ -171,9 +171,7 @@ def validate_params(kmax, nodes, tol):
     nodes=None leaves the resolution to the program."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if nodes is not None and (
-        nodes < 64 or nodes > boundary.MAX_N or (nodes & (nodes - 1)) != 0
-    ):
+    if nodes is not None and not boundary.valid_n(nodes):
         raise ValueError(f"nodes must be a power of two in [64, {boundary.MAX_N}]")
     if not tol > 0:
         raise ValueError("tol must be positive")

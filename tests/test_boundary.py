@@ -202,13 +202,10 @@ def _seq_refine_gap(left, t0, t1, solver):
     )
 
 
-def _seq_order_chain(Z, ts, z0, solver):
+def _seq_order_chain(Z, ts, solver):
     N, n = Z.shape
     out = np.empty_like(Z)
-    perm = _seq_match(z0, Z[0])
-    if perm is None:
-        raise TrackingAmbiguity("seed roots did not match the first step")
-    out[0] = Z[0][perm]
+    out[0] = Z[0]
     for i in range(1, N):
         perm = _seq_match(out[i - 1], Z[i])
         if perm is None:
@@ -221,7 +218,7 @@ def _seq_order_chain(Z, ts, z0, solver):
         out[i] = Z[i][perm]
     wrap = _seq_match(out[-1], out[0])
     if wrap is None:
-        refined = _seq_refine_gap(out[-1], ts[-1], 2.0 * np.pi, solver)
+        refined = _seq_refine_gap(out[-1], ts[-1], ts[0] + 2.0 * np.pi, solver)
         wrap = _seq_match(refined, out[0])
         if wrap is None:
             raise TrackingAmbiguity("closing step remained ambiguous after refinement")
@@ -230,19 +227,20 @@ def _seq_order_chain(Z, ts, z0, solver):
     return out
 
 
-def _chain_inputs(R, N):
-    """Full-grid (Z, ts, z0, solver) for _order_chain: raw root sets at every
-    node of the uniform t grid from trace's row solver, seeded like trace by
-    the t = 0 row."""
+def _chain_inputs(R, N, start=0):
+    """Full-grid (Z, ts, solver) for _order_chain: raw root sets from trace's
+    row solver at every node of the uniform t grid of size N, rotated to
+    begin at that grid's row start (ts runs on past 2pi and stays
+    increasing)."""
     solver, _ = boundary._row_solver(R)
-    ts = 2.0 * np.pi * np.arange(N) / N
+    ts = 2.0 * np.pi * (start + np.arange(N)) / N
     Z, ok = solver(np.exp(1j * ts))
     assert ok.all()
-    return Z, ts, Z[0], solver
+    return Z, ts, solver
 
 
 # A near-marginal three-pole map (max |critical value| in [0.999, 0.9999])
-# with exactly one hop that needs refinement at N = 4096.
+# with exactly one hop that needs refinement at N = 4096, into row 293.
 MARGINAL_REFINED = (
     "1.0510999226056978/(z-(0.50829346734711445-1.8812284896496094i))"
     "+0.77500357890441585/(z+(0.51821207356101384-1.6579777844243604i))"
@@ -257,15 +255,23 @@ MARGINAL_AMBIGUOUS = (
 
 
 @pytest.mark.parametrize(
-    "R, refined_hops",
+    "R, start, refined_into",
     [
-        pytest.param(lambda: example_map(1), 0, id="example1"),
-        pytest.param(lambda: example_map(6), 0, id="example6"),
-        pytest.param(lambda: parse_map(MARGINAL_REFINED), 1, id="marginal-refined"),
+        pytest.param(lambda: example_map(1), 0, [], id="example1"),
+        pytest.param(lambda: example_map(6), 0, [], id="example6"),
+        pytest.param(lambda: parse_map(MARGINAL_REFINED), 0, [293], id="marginal-refined"),
+        # the grid rotated to start at row 293: the refined hop is the
+        # closing one, which ends on the first row at ts[0] + 2pi
+        pytest.param(
+            lambda: parse_map(MARGINAL_REFINED),
+            293,
+            [boundary.DEFAULT_N],
+            id="marginal-refined-closing",
+        ),
     ],
 )
-def test_batched_chain_matches_sequential_walk(monkeypatch, R, refined_hops):
-    args = _chain_inputs(R(), boundary.DEFAULT_N)
+def test_batched_chain_matches_sequential_walk(monkeypatch, R, start, refined_into):
+    args = _chain_inputs(R(), boundary.DEFAULT_N, start)
     calls = []
     real_refine = boundary._refine_gap
 
@@ -275,7 +281,26 @@ def test_batched_chain_matches_sequential_walk(monkeypatch, R, refined_hops):
 
     monkeypatch.setattr(boundary, "_refine_gap", counting_refine)
     assert np.array_equal(boundary._order_chain(*args), _seq_order_chain(*args))
-    assert len(calls) == refined_hops
+    ts = args[1]
+    ends = np.append(ts, ts[0] + 2.0 * np.pi)
+    assert [(a[1], a[2]) for a in calls] == [(ends[i - 1], ends[i]) for i in refined_into]
+
+
+def test_refinement_does_not_solve_the_gap_end_again():
+    # The refined hop ends on the raw row the grid walk already holds; only
+    # the substeps strictly inside the gap are solved.
+    Z, ts, solver = _chain_inputs(parse_map(MARGINAL_REFINED), boundary.DEFAULT_N)
+    seen = []
+
+    def recording(ws, Z0=None):
+        seen.append(ws)
+        return solver(ws, Z0)
+
+    boundary._order_chain(Z, ts, recording)
+    assert seen
+    end = np.exp(1j * ts[293])
+    for ws in seen:
+        assert np.abs(ws - end).min() > 1e-12
 
 
 def test_batched_chain_raises_like_sequential_walk():
@@ -311,8 +336,8 @@ DEGREE16_0 = (
 
 def _trace_and_reference(R, N=boundary.DEFAULT_N):
     """trace's nodes as an (N, n) array, and the full-grid reference (every
-    node eigensolved, ordered by _order_chain) with its columns in the same
-    curve order."""
+    node solved cold by trace's row solver, ordered by _order_chain) with its
+    columns in the same curve order."""
     Z = np.stack([c.z for c in boundary.trace(R, N=N).curves], axis=1)
     ref = boundary._order_chain(*_chain_inputs(R, N))
     cols = np.abs(Z[0][:, None] - ref[0][None, :]).argmin(axis=1)
@@ -357,8 +382,8 @@ def test_failed_blocks_fall_back_to_the_full_grid_walk(monkeypatch, R):
 
 
 def test_refill_must_join_the_next_anchor_in_order():
-    Zraw, ts, z0, solver = _chain_inputs(example_map(1), 512)
-    ref = boundary._order_chain(Zraw, ts, z0, solver)
+    Zraw, ts, solver = _chain_inputs(example_map(1), 512)
+    ref = boundary._order_chain(Zraw, ts, solver)
     Z = ref.copy()
     Z[1:8] = 0
     boundary._refill(Z, ts, 0, Zraw[1:8], solver)
