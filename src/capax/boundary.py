@@ -12,12 +12,12 @@ kernel with the companion eigensolver as its fallback.  Only every S-th node
 (_continue) puts rows in order: from an ordered row it matches every hop over
 raw rows at their grid times in one batch, in the solver's raw root order, by
 nearest neighbor with a factor-2 stability margin, and composes the hop
-permutations.  A failed hop is re-walked on locally halved substeps, solved
-warm from its left end and ending on the raw row at its right end, before
-giving up.  The anchor chain walks from the first anchor and closes on it at
-ts[0] + 2pi, where it must come back unpermuted.  The nodes between two
-anchors are filled by a tangent predictor from the left anchor and Newton
-polishing.  A block (an anchor, its fill nodes and the next anchor) is kept
+permutations.  A failed hop is bisected: its midpoint is solved warm from the
+hop's ordered left row, and only a half that still fails is bisected again,
+down to a width at roundoff, before giving up.  The anchor chain walks from
+the first anchor and closes on it at ts[0] + 2pi, where it must come back
+unpermuted.  The nodes between two anchors are filled by a tangent predictor
+from the left anchor and Newton polishing.  A block (an anchor, its fill nodes and the next anchor) is kept
 when every fill root converged and every hop inside it is a stable identity
 match; otherwise its fill nodes are solved cold and walked one grid step at a
 time onto the next anchor at its grid time, exactly as if every node had been
@@ -28,9 +28,9 @@ Uniform-grid (periodic trapezoid) sums over these analytic curves converge
 geometrically, with a rate set by the critical value v nearest the unit
 circle: the error decays roughly like |v|^N (Trefethen & Weideman, SIAM Rev.
 56, 2014).  By default trace therefore chooses N from the critical values it
-already computes to classify the map (start_n), and doubles it, up to
-DEFAULT_N, while continuation stays ambiguous.  Each sampling stores its
-trapezoid weights lam_i = |dz/dt|_i / N.
+already computes to classify the map (start_n); capacity.bounds_sequence
+doubles it while the quadrature error is too large.  Each sampling stores
+its trapezoid weights lam_i = |dz/dt|_i / N.
 """
 
 from dataclasses import dataclass
@@ -47,7 +47,6 @@ AUTO_N_MIN = 256
 AUTO_DECAY = 1e-16
 NODE_RESIDUAL_TOL = 1e-9
 STABILITY_RATIO = 2.0
-_MAX_REFINE_DEPTH = 6
 _ANCHOR_STRIDE = 8
 
 
@@ -120,29 +119,35 @@ def _compose(P):
     return C
 
 
-def _refine_gap(left, t0, t1, target, solver, max_depth=_MAX_REFINE_DEPTH):
-    """Re-walk the hop from left at t0 to the raw roots target at t1 on
-    successively halved substeps, at most 2**max_depth, until every hop
-    matches stably.  The substeps before t1 are solved warm from left; t1 is
-    not solved again.  Returns the permutation with target[perm] ordered like
+def _refine_gap(left, t0, t1, target, solver):
+    """Bisect the failed hop from the ordered roots left at t0 to the raw
+    roots target at t1: solve its midpoint warm from left, and bisect again
+    only a half whose hop does not match stably.  No t is solved twice, and
+    t1 not at all.  Returns the permutation with target[perm] ordered like
     left."""
-    for depth in range(1, max_depth + 1):
-        m = 1 << depth
-        ts = t0 + (t1 - t0) * np.arange(1, m) / m
-        Z, solved = solver(np.exp(1j * ts), left)
-        if not solved.all():
-            continue
-        rows = np.concatenate((left[None], Z, target[None]))
-        perm, ok = _match_rows(rows[:-1], rows[1:])
-        if ok.all():
-            return _compose(perm)[-1]
-    raise TrackingAmbiguity(
-        f"continuation between t = {t0:.6f} and t = {t1:.6f} stayed ambiguous "
-        f"after {1 << max_depth} substeps; double N"
-    )
+
+    def hop(left, t0, t1, target):
+        perm, ok = _match_rows(left[None], target[None])
+        if ok[0]:
+            return perm[0]
+        tm = t0 + (t1 - t0) * 0.5
+        # stop at a width tied to roundoff at 2pi, not when tm equals an
+        # end: from t0 = 0 that only happens among the subnormals
+        if t1 - t0 <= 64 * np.spacing(2.0 * np.pi):
+            raise TrackingAmbiguity(
+                f"continuation stayed ambiguous at t = {tm:.12f} down to a "
+                f"step of {t1 - t0:.1e}"
+            )
+        Zm, solved = solver(np.exp(1j * np.array([tm])), left)
+        if not solved[0]:
+            raise TrackingAmbiguity(f"root solve failed at t = {tm:.12f} inside a hop")
+        mid = Zm[0][hop(left, t0, tm, Zm[0])]
+        return hop(mid, tm, t1, target)
+
+    return hop(left, t0, t1, target)
 
 
-def _continue(left, t0, Z, ts, solver, max_depth=_MAX_REFINE_DEPTH):
+def _continue(left, t0, Z, ts, solver):
     """The one walk of trace: continue the ordered roots left at t0 over the
     raw root sets Z at the grid times ts, t0 < ts[0] < ts[1] < ...
 
@@ -155,11 +160,11 @@ def _continue(left, t0, Z, ts, solver, max_depth=_MAX_REFINE_DEPTH):
     perm, ok = _match_rows(rows[:-1], rows[1:])
     t_lefts = np.concatenate(([t0], ts[:-1]))
     for i in np.flatnonzero(~ok):
-        perm[i] = _refine_gap(rows[i], t_lefts[i], ts[i], Z[i], solver, max_depth)
+        perm[i] = _refine_gap(rows[i], t_lefts[i], ts[i], Z[i], solver)
     return _compose(perm)
 
 
-def _order_chain(Z, ts, solver, max_depth=_MAX_REFINE_DEPTH):
+def _order_chain(Z, ts, solver):
     """Impose continuity in t on the raw root sets Z at the grid times ts:
     walk from Z[0] over Z[1:] and close on Z[0] at ts[0] + 2pi.  Returns the
     ordered (N, n) array; raises TrackingAmbiguity on irreparable ambiguity
@@ -167,7 +172,7 @@ def _order_chain(Z, ts, solver, max_depth=_MAX_REFINE_DEPTH):
     """
     W = np.roll(Z, -1, axis=0)
     tw = np.append(ts[1:], ts[0] + 2.0 * np.pi)
-    C = _continue(Z[0], ts[0], W, tw, solver, max_depth)
+    C = _continue(Z[0], ts[0], W, tw, solver)
     if np.any(C[-1] != np.arange(Z.shape[1])):
         raise ComponentCountMismatch(
             "tracking around the full circle permuted the roots; "
@@ -254,16 +259,15 @@ def trace(R, N=None, check_good=True):
     """Sample all boundary curves of {|R| >= 1} on a uniform t grid of size N.
 
     An explicit N must be a power of two, 64 <= N <= 65536, and is used as
-    given.  N=None starts at start_n of the map's largest critical-value
-    modulus and doubles N, up to DEFAULT_N, while continuation stays
-    ambiguous.  The map must classify as GOOD (skippable with
-    check_good=False for diagnostic runs on bad maps, where one of the
-    tracking errors below is the expected outcome).
+    given.  N=None uses start_n of the map's largest critical-value modulus.
+    The map must classify as GOOD (skippable with check_good=False for
+    diagnostic runs on bad maps, where one of the tracking errors below is
+    the expected outcome).
 
     Raises TrackingAmbiguity when continuation cannot be disambiguated even
-    on halved steps (at an explicit N the caller should double N),
-    ComponentCountMismatch when the curve/pole pairing is not one-to-one,
-    and NonConvergence when node residuals miss NODE_RESIDUAL_TOL.
+    on steps bisected down to roundoff, ComponentCountMismatch when the
+    curve/pole pairing is not one-to-one, and NonConvergence when node
+    residuals miss NODE_RESIDUAL_TOL.
     """
     if N is not None:
         N = int(N)
@@ -276,16 +280,9 @@ def trace(R, N=None, check_good=True):
                 f"map classifies as {verdict.status.value} "
                 f"(margin {verdict.margin:.3e}); boundary tracing needs a good map"
             )
-    if N is not None:
-        return _trace(R, N)
-    N = start_n(verdict.data.max_cv_modulus)
-    while True:
-        try:
-            return _trace(R, N)
-        except TrackingAmbiguity:
-            if N >= DEFAULT_N:
-                raise
-            N *= 2
+    if N is None:
+        N = start_n(verdict.data.max_cv_modulus)
+    return _trace(R, N)
 
 
 def _row_solver(R):
@@ -319,9 +316,7 @@ def _trace(R, N):
     # settled after tracing by winding numbers; no geometric heuristic here
     # (nearest-pole grouping misfires on good maps whose residue mass sits
     # close to a neighboring component).
-    # The anchor chain refines down to the same finest substep 2pi/(64N).
-    depth = _MAX_REFINE_DEPTH + S.bit_length() - 1
-    Z = _order_chain(Za, ts[::S], solver, depth)
+    Z = _order_chain(Za, ts[::S], solver)
     if S > 1:
         Z, block_ok = _fill(R, Z, ts, polish)
         bad = np.flatnonzero(~block_ok)

@@ -180,8 +180,13 @@ def _seq_match(prev, new):
     return perm
 
 
+# The reference refines a failed step uniformly, 2**depth substeps, an
+# independent scheme from the bisection in boundary.
+_SEQ_REFINE_DEPTH = 6
+
+
 def _seq_refine_gap(left, t0, t1, solver):
-    for depth in range(1, boundary._MAX_REFINE_DEPTH + 1):
+    for depth in range(1, _SEQ_REFINE_DEPTH + 1):
         m = 1 << depth
         ts = t0 + (t1 - t0) * np.arange(1, m + 1) / m
         Z, ok = solver(np.exp(1j * ts), left)
@@ -198,7 +203,7 @@ def _seq_refine_gap(left, t0, t1, solver):
             return cur
     raise TrackingAmbiguity(
         f"continuation between t = {t0:.6f} and t = {t1:.6f} stayed ambiguous "
-        f"after {1 << boundary._MAX_REFINE_DEPTH} substeps; double N"
+        f"after {1 << _SEQ_REFINE_DEPTH} substeps"
     )
 
 
@@ -246,11 +251,20 @@ MARGINAL_REFINED = (
     "+0.77500357890441585/(z+(0.51821207356101384-1.6579777844243604i))"
     "+0.62825875915628793/(z-(1.6631038947789429-0.20933768418389676i))"
 )
-# A near-marginal map whose continuation stays ambiguous at N = 256.
+# A near-marginal map whose continuation at N = 256 stays ambiguous under
+# uniform refinement to 2**6 substeps; bisection orders it.
 MARGINAL_AMBIGUOUS = (
     "0.11120784373548635/(z-(0.16865095314031864+1.9968914926305823i))"
     "+0.38932848903285017/(z+(1.0690222007712338+0.54205289817735158i))"
     "+0.25684211445241356/(z+(0.95815962127432908+1.1955315579939034i))"
+)
+# A good three-pole map with margin 8.0e-9 (max |critical value| 1 - 8e-9),
+# drawn by the benchmark's marginal recipe: it traces at the default N only
+# when failed hops are bisected down to roundoff.
+MARGIN_8E_9 = (
+    "0.4306676763881564/(z+(1.4185322809611756-1.0114524189386271i))"
+    "+0.86999549265942488/(z+(0.19854508779690239-0.25732080578304251i))"
+    "+0.31145695241535193/(z-(1.5780625966280035+1.6050115894588264i))"
 )
 
 
@@ -303,13 +317,51 @@ def test_refinement_does_not_solve_the_gap_end_again():
         assert np.abs(ws - end).min() > 1e-12
 
 
-def test_batched_chain_raises_like_sequential_walk():
-    args = _chain_inputs(parse_map(MARGINAL_AMBIGUOUS), 256)
-    with pytest.raises(TrackingAmbiguity) as batched:
-        boundary._order_chain(*args)
-    with pytest.raises(TrackingAmbiguity) as sequential:
-        _seq_order_chain(*args)
-    assert str(batched.value) == str(sequential.value)
+def test_bisected_chain_matches_the_finer_grid():
+    # Where uniform refinement gives up, the bisected N = 256 chain orders
+    # the rows exactly as the N = 512 grid does, which holds them at its
+    # even rows.
+    R = parse_map(MARGINAL_AMBIGUOUS)
+    with pytest.raises(TrackingAmbiguity):
+        _seq_order_chain(*_chain_inputs(R, 256))
+    coarse = boundary._order_chain(*_chain_inputs(R, 256))
+    fine = boundary._order_chain(*_chain_inputs(R, 512))
+    assert np.array_equal(coarse, fine[::2])
+
+
+def test_bisection_solves_each_t_once():
+    # Every warm solve is one midpoint, at a t no other solve has had,
+    # grid nodes included.
+    Z, ts, solver = _chain_inputs(parse_map(MARGINAL_AMBIGUOUS), 256)
+    seen = []
+
+    def recording(ws, Z0=None):
+        seen.append(ws)
+        return solver(ws, Z0)
+
+    boundary._order_chain(Z, ts, recording)
+    assert seen and all(ws.size == 1 for ws in seen)
+    ws = np.concatenate(seen + [np.exp(1j * ts)])
+    assert np.unique(ws).size == ws.size
+
+
+@pytest.mark.parametrize("t0", [0.0, 6.0])
+def test_bisection_stops_at_roundoff(t0):
+    # Midpoints that never match stably: bisection gives up with
+    # TrackingAmbiguity after a bounded number of solves, also from t0 = 0,
+    # where a stop on "the midpoint equals an end" would only fire among the
+    # subnormals, past Python's recursion limit.
+    tie = np.array([0.5, 0.5], dtype=np.complex128)
+    calls = []
+
+    def solver(ws, Z0=None):
+        calls.append(ws)
+        return np.tile(tie, (ws.size, 1)), np.ones(ws.size, dtype=bool)
+
+    left = np.array([0.0, 1.0], dtype=np.complex128)
+    with pytest.raises(TrackingAmbiguity):
+        boundary._refine_gap(left, t0, t0 + 2.0 * np.pi / 512, tie, solver)
+    assert 0 < len(calls) <= 64
 
 
 # Bank map degree16-0 of pipebench/bank.json: sixteen poles, every block of

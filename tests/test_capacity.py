@@ -10,11 +10,11 @@ import scipy.linalg
 
 from capax import boundary, capacity
 from capax.cli import REFERENCE_BOUNDS, example_map, parse_map
-from capax.errors import EmptyBasis, IllConditioned, TrackingAmbiguity
+from capax.errors import EmptyBasis, IllConditioned
 from capax.ratmap import RationalMapPF, affine_conjugate
 
 from conftest import random_good_map
-from test_boundary import DEGREE16_0, MARGINAL_AMBIGUOUS
+from test_boundary import DEGREE16_0, MARGIN_8E_9, MARGINAL_AMBIGUOUS
 
 BANK_PATH = Path(__file__).resolve().parents[1] / "pipebench" / "bank.json"
 
@@ -415,16 +415,25 @@ def test_marginal_estimate_covers_the_reference():
 
 
 def test_ambiguous_start_escalates(monkeypatch):
+    # trace keeps the N it starts at; only bounds_sequence's quadrature
+    # error escalates it.
     R = parse_map(MARGINAL_AMBIGUOUS)
-    with pytest.raises(TrackingAmbiguity):
-        boundary.trace(R, N=256)
+    assert boundary.trace(R, N=256).N == 256
     monkeypatch.setattr(boundary, "start_n", lambda max_cv_modulus: 256)
-    assert boundary.trace(R).N == 512
+    assert boundary.trace(R).N == 256
+    assert capacity.bounds_sequence(R, 3, N=256).N == 256
     bounds = capacity.bounds_sequence(R, 3)
     assert bounds.N > 256
     assert [r[0] for r in bounds.rows] == [1, 2, 3]
-    with pytest.raises(TrackingAmbiguity):
-        capacity.bounds_sequence(R, 3, N=256)
+
+
+def test_margin_8e_9_map_has_a_bracket():
+    bounds = capacity.bounds_sequence(parse_map(MARGIN_8E_9), 5)
+    rows = np.array(bounds.rows)
+    assert bounds.N == boundary.DEFAULT_N
+    assert rows[:, 0].tolist() == [1, 2, 3, 4, 5]
+    assert np.all(rows[:, 1] <= rows[:, 2])
+    assert np.all(np.diff(rows[:, 1]) >= 0) and np.all(np.diff(rows[:, 2]) <= 0)
 
 
 def test_escalation_classifies_the_map_once(monkeypatch):

@@ -15,6 +15,7 @@ from capax.errors import InvalidMap, ParseError
 from capax.ratmap import RationalMapPF
 
 from conftest import random_good_map
+from test_boundary import MARGIN_8E_9
 
 
 GOOD_TEXT = "0.3/(z+1)+0.2/(z-1)"
@@ -176,6 +177,11 @@ def test_verdict_report(capsys):
     assert "verdict: consistent-with-ahlfors" in out
     assert "certified: yes" in out
     assert "bracket: k=4" in out
+
+
+def test_verdict_on_a_map_at_margin_8e_9(capsys):
+    assert main(["verdict", "--map", MARGIN_8E_9, "--kmax", "5"]) == 0
+    assert "bracket: k=5" in capsys.readouterr().out
 
 
 def test_config_file_with_map_section(tmp_path, capsys):
