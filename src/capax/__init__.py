@@ -46,7 +46,6 @@ from .ratmap import (
     GoodnessVerdict,
     RationalMapPF,
     affine_conjugate,
-    as_fraction,
     critical_data,
     evaluate,
     is_n_good,

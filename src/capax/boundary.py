@@ -4,25 +4,26 @@ For a good map the level set splits into n analytic Jordan curves, one around
 each pole, and R restricted to each curve is a bijection onto the unit circle.
 Each curve is therefore parametrized by t in [0, 2pi) through R(z(t)) = e^{it},
 and all n curves are sampled on one uniform t grid by following the n roots of
-P(z) - e^{it} Q(z) as t advances.
+R(z) = e^{it} as t advances.  Only the residues and poles of R enter.
 
 The root sets come from numerics.solve_pf_rows, the partial-fraction Aberth
-kernel with the companion eigensolver as its fallback.  Only every S-th node
-(S = 8 once N >= 512) is solved this way, cold from the poles.  One walk
-(_continue) puts rows in order: from an ordered row it matches every hop over
-raw rows at their grid times in one batch, in the solver's raw root order, by
-nearest neighbor with a factor-2 stability margin, and composes the hop
-permutations.  A failed hop is bisected: its midpoint is solved warm from the
-hop's ordered left row, and only a half that still fails is bisected again,
-down to a width at roundoff, before giving up.  The anchor chain walks from
-the first anchor and closes on it at ts[0] + 2pi, where it must come back
+kernel (the one iteration for every row) with an eigensolver fallback.  Only
+every S-th node (S = 8 once N >= 512) is solved this way, cold from the poles.
+One walk (_continue) puts rows in order: from an ordered row it matches every
+hop over raw rows at their grid times in one batch, in the solver's raw root
+order, by nearest neighbor with a factor-2 stability margin, and composes the
+hop permutations.  A failed hop is bisected: its midpoint is solved warm from
+the hop's ordered left row, and only a half that still fails is bisected
+again, down to a width at roundoff, before giving up.  The anchor chain walks
+from the first anchor and closes on it at ts[0] + 2pi, where it must come back
 unpermuted.  The nodes between two anchors are filled by a tangent predictor
-from the left anchor and Newton polishing.  A block (an anchor, its fill nodes and the next anchor) is kept
-when every fill root converged and every hop inside it is a stable identity
-match; otherwise its fill nodes are solved cold and walked one grid step at a
-time onto the next anchor at its grid time, exactly as if every node had been
-solved.  Warm starts only feed the matching, never the nodes, and each row is
-solved independently of its batch, so that equality holds bit for bit.
+from the left anchor and the warm Aberth iteration.  A block (an anchor, its
+fill nodes and the next anchor) is kept when every fill root converged and
+every hop inside it is a stable identity match; otherwise its fill nodes are
+solved cold and walked one grid step at a time onto the next anchor at its
+grid time, exactly as if every node had been solved.  Warm starts only feed
+the matching, never the nodes, and each row is solved independently of its
+batch, so that equality holds bit for bit.
 
 Uniform-grid (periodic trapezoid) sums over these analytic curves converge
 geometrically, with a rate set by the critical value v nearest the unit
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ComponentCountMismatch, NonConvergence, TrackingAmbiguity
-from .ratmap import Goodness, as_fraction, is_n_good
+from .ratmap import Goodness, is_n_good
 
 DEFAULT_N = 4096  # the largest resolution chosen automatically
 MAX_N = 1 << 16
@@ -185,11 +186,11 @@ def _fill(R, Za, ts, polish):
     """Nodes of the grid ts between the ordered anchor rows Za = Z[::S].
 
     Each fill node is predicted from its left anchor along the tangent
-    dz/dt = i e^{it} / R'(z) and then polished.  Returns the (N, n) nodes and,
-    per block (an anchor, its S - 1 fill rows and the next anchor), whether
-    every fill row converged and every hop of the block is a stable identity
-    match (_identity_hops), which is what the full-grid walk would have
-    found.
+    dz/dt = i e^{it} / R'(z) and then polished by warm Aberth (polish).
+    Returns the (N, n) nodes and, per block (an anchor, its S - 1 fill rows
+    and the next anchor), whether every fill row converged (frozen and
+    passing the residual check) and every hop of the block is a stable
+    identity match (_identity_hops), as the full-grid walk would find.
     """
     N, (A, n) = ts.size, Za.shape
     S = N // A
@@ -217,7 +218,7 @@ def _identity_hops(Z):
 
 
 def _refill(Z, ts, a, Zb, solver):
-    """Replace the fill rows after anchor row a by the Aberth-solved root sets
+    """Replace the fill rows after anchor row a by the cold-solved root sets
     Zb, ordered by the full-grid walk over Zb and the next anchor, taken at
     its grid time (ts[0] + 2pi after the last block); that walk must land on
     the next anchor in the anchor chain's order."""
@@ -286,20 +287,17 @@ def trace(R, N=None, check_good=True):
 
 
 def _row_solver(R):
-    """The root solver of trace: solver(ws, Z0=None) returns the roots of
-    P - w Q for every w in ws, with a success flag per row, started from the
-    guesses Z0 (broadcast over the rows) or cold from the poles."""
-    P, Q = as_fraction(R)
-    pc = np.zeros(R.n + 1, dtype=np.complex128)
-    pc[: R.n] = P
+    """trace's row kernels, from the residues and poles alone: solver(ws,
+    Z0=None) returns the roots of R(z) = w for every w in ws and a success
+    flag per row, from the guesses Z0 (broadcast) or cold from the poles;
+    polish(ws, Z) polishes one guess row per w, with a flag per row."""
+    a, p, tol = R.residues, R.poles, numerics.DEFAULT_ROOT_TOL
 
     def solver(ws, Z0=None):
-        return numerics.solve_pf_rows(
-            R.residues, R.poles, pc, Q, ws, numerics.DEFAULT_ROOT_TOL, Z0
-        )
+        return numerics.solve_pf_rows(a, p, ws, tol, Z0)
 
     def polish(ws, Z):
-        return numerics.polish_rows(pc, Q, ws, Z, numerics.DEFAULT_ROOT_TOL)
+        return numerics.polish_pf_rows(a, p, ws, Z, tol)
 
     return solver, polish
 

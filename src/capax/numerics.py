@@ -1,4 +1,4 @@
-"""Complex polynomial arithmetic and a global root finder.
+"""Complex polynomial arithmetic and two root finders.
 
 Polynomials are plain complex128 ndarrays in ascending coefficient order,
 c[0] + c[1] z + ... + c[d] z^d, kept trimmed so the leading coefficient of a
@@ -7,13 +7,11 @@ everything here accepts any sequence and returns trimmed arrays.
 
 Roots of one polynomial (roots) come from companion-matrix eigenvalues, which
 are backward stable (Edelman & Murakami, Math. Comp. 64, 1995), followed by
-Newton polishing.  A whole family P(z) - w Q(z) with P/Q in partial-fraction
-form, as trace needs it, is solved by solve_pf_rows: a batched Aberth
-iteration on the partial fractions (aberth_rows), O(n) per root and step.
-Rows that it does not settle, or whose roots fail the check or cluster, fall
-back to one batched LAPACK call on the companion matrices (solve_rows).  Both
-end in the same polish-and-check step (polish_rows), also open to root
-guesses from elsewhere, so every accepted root passes the same residual test.
+Newton polishing.  The roots of R(z) = w for R = sum_j a_j/(z - p_j) and a
+batch of w, as trace needs them, never see a polynomial: solve_pf_rows runs a
+batched Aberth iteration on the partial fractions (aberth_rows), O(n) per
+root and step, and falls back to one batched eigensolve of diag(p) + a 1^T/w.
+Every accepted row passes one residual check (pf_rows_ok).
 """
 
 import numpy as np
@@ -30,6 +28,10 @@ CLUSTER_SEP = 1e-8
 # the eigensolver
 _ABERTH_STEP_REL = 1e-13
 _ABERTH_ITERS = 12
+
+# polish_pf_rows takes its rows in blocks of about this many (pole, root, row)
+# entries: its (n, n, rows) tensors then stay in cache and memory stays flat
+_BLOCK_ENTRIES = 1 << 16
 
 
 def as_poly(c):
@@ -67,10 +69,6 @@ def poly_add(a, b):
 
 def poly_scale(a, s):
     return poly_trim(as_poly(a) * np.complex128(s))
-
-
-def poly_mul(a, b):
-    return poly_trim(np.convolve(as_poly(a), as_poly(b)))
 
 
 def poly_from_roots(roots):
@@ -144,32 +142,6 @@ def _companion_rows(C):
     return A
 
 
-def solve_rows(pc, qc, ws, tol):
-    """Roots of pc - w*qc for every w in ws, with qc monic of degree n and
-    pc of lower degree, padded to length n+1, by companion eigensolves.
-
-    Returns (Z, ok): Z (len(ws), n) in eigensolver order, and ok[r] true when
-    every root of row r meets the residual bound of that row.
-    """
-    # roots of pc - w*qc == roots of the monic qc - pc/w (leading coeff -w)
-    monic = qc[None, :] - pc[None, :] / ws[:, None]
-    return polish_rows(pc, qc, ws, np.linalg.eigvals(_companion_rows(monic)), tol)
-
-
-def polish_rows(pc, qc, ws, Z, tol, iters=5):
-    """Newton-polish guesses Z (len(ws), n) for the roots of pc - w*qc, with
-    iters steps, and check them; the other arguments are those of solve_rows.
-
-    Returns (Z, ok) with ok[r] true when every root of row r meets the
-    residual bound of that row.  A row whose guesses drifted onto the same
-    root can pass; callers that need distinct roots check that themselves.
-    """
-    C = pc[None, :] - ws[:, None] * qc[None, :]
-    Z, p = _polish_rows(C, Z, iters)
-    bound = residual_bound(np.abs(C).max(axis=1, keepdims=True), Z, C.shape[1] - 1, tol)
-    return Z, (np.abs(p) <= bound).all(axis=1)
-
-
 def aberth_rows(a, p, ws, Z0):
     """Simultaneous Aberth iteration for the n roots of sum_j a_j/(z - p_j) = w,
     one row per w in ws, started from the guesses Z0: (len(ws), n), or one
@@ -226,25 +198,57 @@ def aberth_rows(a, p, ws, Z0):
     return Zt.T.copy(), done
 
 
-def solve_pf_rows(a, p, pc, qc, ws, tol, Z0=None):
-    """Roots of pc - w*qc for every w in ws, where pc/qc is the
-    partial-fraction map sum_j a_j/(z - p_j); pc and qc as in solve_rows.
+def pf_rows_ok(a, p, ws, Z, tol):
+    """Per row of Z (len(ws), n), whether every root z passes
+    |R(z) - w| <= tol * sum_j |a_j/(z - p_j)|, the roundoff scale of R(z).
+    As in aberth_rows, sums over poles run along the leading axis, so rows
+    do not depend on their batch.  A root at a pole fails."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = a[:, None, None] / (Z.T - p[:, None, None])  # [j, i, m]: a_j/(z_im - p_j)
+        return (np.abs(t.sum(axis=0) - ws) / np.abs(t).sum(axis=0) <= tol).all(axis=0)
 
-    The roots come from aberth_rows, started at Z0 or, by default, at the
-    first-order roots p_j + a_j/w near the poles, and then take one Newton
-    step and the residual check of polish_rows.  A row goes to solve_rows
-    instead when Aberth did not freeze it, when a root misses the residual
-    bound, or when two of its roots lie within CLUSTER_SEP.  Returns (Z, ok)
-    as solve_rows does; each row is solved independently of the others.
+
+def polish_pf_rows(a, p, ws, Z0, tol):
+    """aberth_rows from the guesses Z0 (len(ws), n), in blocks of rows.
+    Returns (Z, ok), ok[r] true when Aberth froze row r and it passes
+    pf_rows_ok.  Roots that drifted onto one root can pass; callers that
+    need distinct roots check that themselves."""
+    Z0 = np.broadcast_to(Z0, (len(ws), p.size))
+    Z, ok = np.empty(Z0.shape, dtype=np.complex128), np.empty(len(ws), dtype=bool)
+    rows = max(1, _BLOCK_ENTRIES // p.size**2)
+    for s in range(0, len(ws), rows):
+        b = slice(s, s + rows)
+        Z[b], done = aberth_rows(a, p, ws[b], Z0[b])
+        ok[b] = done & pf_rows_ok(a, p, ws[b], Z[b], tol)
+    return Z, ok
+
+
+def _pf_eigvals(a, p, ws):
+    """The roots of sum_j a_j/(z - p_j) = w for every w in ws, as the
+    eigenvalues of diag(p) + a 1^T / w in one batched LAPACK call:
+    det(zI - diag(p) - a 1^T/w) = Q(z) (1 - R(z)/w) with Q = prod (z - p_j)
+    (Golub, SIAM Rev. 15, 1973)."""
+    return np.linalg.eigvals((a / ws[:, None])[:, :, None] + np.diag(p))
+
+
+def solve_pf_rows(a, p, ws, tol, Z0=None):
+    """The n roots of sum_j a_j/(z - p_j) = w for every w in ws: (Z, ok).
+
+    polish_pf_rows starts at Z0 (broadcast over the rows) or at the
+    first-order roots p_j + a_j/w near the poles; a frozen Aberth root is
+    already at roundoff.  A row it does not accept, or with two roots within
+    CLUSTER_SEP, gets the eigenvalues of _pf_eigvals polished by aberth_rows,
+    and passes on pf_rows_ok alone: near-double roots never freeze.  Each
+    row is solved independently of the others.
     """
-    Z, done = aberth_rows(a, p, ws, p + a / ws[:, None] if Z0 is None else Z0)
-    # frozen Aberth roots are already accurate: one Newton step, then the check
-    Z, ok = polish_rows(pc, qc, ws, Z, tol, iters=1)
+    Z, ok = polish_pf_rows(a, p, ws, p + a / ws[:, None] if Z0 is None else Z0, tol)
     gap = np.abs(Z[:, :, None] - Z[:, None, :])
     gap[:, np.arange(p.size), np.arange(p.size)] = np.inf
-    redo = np.flatnonzero(~(done & ok & (gap.min(axis=(1, 2)) >= CLUSTER_SEP)))
+    redo = np.flatnonzero(~(ok & (gap.min(axis=(1, 2)) >= CLUSTER_SEP)))
     if redo.size:
-        Z[redo], ok[redo] = solve_rows(pc, qc, ws[redo], tol)
+        w = ws[redo]
+        Z[redo] = aberth_rows(a, p, w, _pf_eigvals(a, p, w))[0]
+        ok[redo] = pf_rows_ok(a, p, w, Z[redo], tol)
     return Z, ok
 
 

@@ -3,8 +3,8 @@
 A map is R(z) = sum_j a_j / (z - p_j) with distinct poles p_j and nonzero
 residues a_j.  R(infinity) = 0 and the derivative at infinity, the coefficient
 of 1/z, is sum_j a_j.  The sublevel-set geometry downstream only ever needs
-R, R', the fraction form P/Q, preimages of circle points, and the critical
-values, all of which live here.
+R, R', preimages of circle points, and the critical values, all of which
+live here.  Only the critical points expand R into polynomial coefficients.
 """
 
 import enum
@@ -83,9 +83,6 @@ class RationalMapPF:
         out = -(self.residues / (d * d)).sum(axis=-1)
         return complex(out) if zz.ndim == 0 else out
 
-    def as_fraction(self):
-        return as_fraction(self)
-
     def preimages(self, w):
         return preimages(self, w)
 
@@ -116,21 +113,8 @@ def evaluate(R, z):
     return t.sum(axis=-1)
 
 
-def as_fraction(R):
-    """(P, Q) with R = P/Q, Q = prod (z - p_j) monic of degree n, deg P <= n-1."""
-    Q = numerics.poly_from_roots(R.poles)
-    P = np.zeros(R.n, dtype=np.complex128)
-    for j in range(R.n):
-        others = np.delete(R.poles, j)
-        P = numerics.poly_add(P, numerics.poly_scale(numerics.poly_from_roots(others), R.residues[j]))
-    P = numerics.as_poly(P)
-    out = np.zeros(R.n, dtype=np.complex128)
-    out[: P.size] = P
-    return out, Q
-
-
 def preimages(R, w, tol=1e-9):
-    """The n preimages of w (counted with multiplicity): roots of P - w*Q.
+    """The n preimages of w (counted with multiplicity), by solve_pf_rows.
 
     w must be nonzero; the preimage of 0 is the point at infinity, which has
     no finite representative here.  Each returned root r satisfies
@@ -139,9 +123,8 @@ def preimages(R, w, tol=1e-9):
     w = complex(w)
     if w == 0:
         raise ValueError("w = 0 has no finite preimages (R(infinity) = 0)")
-    P, Q = as_fraction(R)
-    c = numerics.poly_add(P, numerics.poly_scale(Q, -w))
-    r = numerics.roots(c)
+    Z, _ = numerics.solve_pf_rows(R.residues, R.poles, np.array([w]), numerics.DEFAULT_ROOT_TOL)
+    r = Z[0]
     err = np.abs(evaluate(R, r) - w)
     if err.max() > tol:
         from .errors import NonConvergence

@@ -266,6 +266,15 @@ MARGIN_8E_9 = (
     "+0.86999549265942488/(z+(0.19854508779690239-0.25732080578304251i))"
     "+0.31145695241535193/(z-(1.5780625966280035+1.6050115894588264i))"
 )
+# A good seven-pole map with margin 7.1e-4.  A Newton step on the expanded
+# P - wQ after Aberth leaves its nodes at the default N = 4096 at residual
+# 3.3e-9, above NODE_RESIDUAL_TOL; the partial fractions alone do not.
+SEVEN_POLE = (
+    "(0.05483+0.029961i)/(z+(1.315-0.144i))+(0.090149+0.14026i)/(z+(1.954+1.519i))"
+    "-(0.097008-0.113832i)/(z+(1.73+0.326i))-(0.093187+0.004521i)/(z+(0.161+1.171i))"
+    "+(0.079351+0.038201i)/(z-(1.898+0.857i))+(0.136563+0.047707i)/(z+(1.823-0.166i))"
+    "+(0.035169+0.181036i)/(z-(1.964-0.848i))"
+)
 
 
 @pytest.mark.parametrize(
@@ -414,11 +423,11 @@ def test_anchor_and_fill_matches_full_grid(R):
 def test_failed_blocks_fall_back_to_the_full_grid_walk(monkeypatch, R):
     # Fill guesses that never converge send every block to the fallback,
     # which must then reproduce the full-grid walk exactly.
-    def unconverged(pc, qc, ws, Z, tol):
+    def unconverged(a, p, ws, Z, tol):
         return Z, np.zeros(len(ws), dtype=bool)
 
     fake = types.SimpleNamespace(**vars(numerics))
-    fake.polish_rows = unconverged
+    fake.polish_pf_rows = unconverged
     monkeypatch.setattr(boundary, "numerics", fake)
     refilled = []
     real_refill = boundary._refill
@@ -446,22 +455,41 @@ def test_refill_must_join_the_next_anchor_in_order():
 
 
 def test_trace_solves_only_the_anchors(monkeypatch):
-    kernel, eigen = [], []
-    real_aberth, real_solve = numerics.aberth_rows, numerics.solve_rows
+    # the fill rows also pass through aberth_rows, but warm: count cold starts
+    cold, eigen = [], []
+    real_aberth, real_eigvals = numerics.aberth_rows, numerics._pf_eigvals
 
     def counting_aberth(a, p, ws, Z0):
-        kernel.append(len(ws))
+        if np.array_equal(np.broadcast_to(Z0, (len(ws), p.size)), p + a / ws[:, None]):
+            cold.append(len(ws))
         return real_aberth(a, p, ws, Z0)
 
-    def counting_solve(pc, qc, ws, tol):
+    def counting_eigvals(a, p, ws):
         eigen.append(len(ws))
-        return real_solve(pc, qc, ws, tol)
+        return real_eigvals(a, p, ws)
 
     monkeypatch.setattr(numerics, "aberth_rows", counting_aberth)
-    monkeypatch.setattr(numerics, "solve_rows", counting_solve)
+    monkeypatch.setattr(numerics, "_pf_eigvals", counting_eigvals)
     boundary.trace(parse_map(DEGREE16_0), N=4096)
-    assert sum(kernel) == 4096 // 8
+    assert sum(cold) == 4096 // 8
     assert sum(eigen) == 0
+
+
+@pytest.mark.parametrize("R", [
+    pytest.param(lambda: parse_map(DEGREE16_0), id="degree16-0"),
+    pytest.param(lambda: example_map(2), id="example2"),
+])
+def test_trace_rows_use_only_the_partial_fractions(monkeypatch, R):
+    # classification is the one monomial caller left; the rows never are
+    R = R()
+    N = boundary.start_n(ratmap.critical_data(R).max_cv_modulus)
+
+    def forbidden(*args):
+        raise AssertionError("trace's rows must not expand R into polynomials")
+
+    for name in ("_companion_rows", "_eval_rows", "poly_from_roots"):
+        monkeypatch.setattr(numerics, name, forbidden)
+    assert len(boundary._trace(R, N).curves) == R.n
 
 
 @pytest.mark.parametrize("R", TRACE_MAPS[::2])
@@ -512,8 +540,10 @@ def test_identity_hops_decide_like_match_rows(monkeypatch, R):
     real_hops = boundary._identity_hops
 
     def recording(Z):
-        seen.append((Z.copy(), real_hops(Z)))
-        return seen[-1][1]
+        # _fill ANDs the returned array in place: record a copy
+        good = real_hops(Z)
+        seen.append((Z.copy(), good.copy()))
+        return good
 
     monkeypatch.setattr(boundary, "_identity_hops", recording)
     boundary.trace(R(), N=boundary.DEFAULT_N)

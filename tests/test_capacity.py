@@ -14,7 +14,7 @@ from capax.errors import EmptyBasis, IllConditioned
 from capax.ratmap import RationalMapPF, affine_conjugate
 
 from conftest import random_good_map
-from test_boundary import DEGREE16_0, MARGIN_8E_9, MARGINAL_AMBIGUOUS
+from test_boundary import DEGREE16_0, MARGIN_8E_9, MARGINAL_AMBIGUOUS, SEVEN_POLE
 
 BANK_PATH = Path(__file__).resolve().parents[1] / "pipebench" / "bank.json"
 
@@ -432,6 +432,22 @@ def test_margin_8e_9_map_has_a_bracket():
     rows = np.array(bounds.rows)
     assert bounds.N == boundary.DEFAULT_N
     assert rows[:, 0].tolist() == [1, 2, 3, 4, 5]
+    assert np.all(rows[:, 1] <= rows[:, 2])
+    assert np.all(np.diff(rows[:, 1]) >= 0) and np.all(np.diff(rows[:, 2]) <= 0)
+
+
+@pytest.mark.parametrize("n, c", [(32, 0.12), (48, 0.18), (64, 0.17)])
+def test_equally_spaced_real_poles_certify_at_high_degree(n, c):
+    # real poles and positive residues make an Ahlfors map: gamma = n c
+    bounds = capacity.bounds_sequence(RationalMapPF(np.full(n, c), np.arange(n)), 1)
+    ((_, lower, upper),) = bounds.rows
+    assert bounds.certified and lower <= n * c <= upper
+
+
+def test_seven_pole_map_has_a_bracket_at_the_default_n():
+    bounds = capacity.bounds_sequence(parse_map(SEVEN_POLE), 3)
+    rows = np.array(bounds.rows)
+    assert bounds.N == boundary.DEFAULT_N
     assert np.all(rows[:, 1] <= rows[:, 2])
     assert np.all(np.diff(rows[:, 1]) >= 0) and np.all(np.diff(rows[:, 2]) <= 0)
 

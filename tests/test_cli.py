@@ -15,7 +15,7 @@ from capax.errors import InvalidMap, ParseError
 from capax.ratmap import RationalMapPF
 
 from conftest import random_good_map
-from test_boundary import MARGIN_8E_9
+from test_boundary import MARGIN_8E_9, SEVEN_POLE
 
 
 GOOD_TEXT = "0.3/(z+1)+0.2/(z-1)"
@@ -182,6 +182,11 @@ def test_verdict_report(capsys):
 def test_verdict_on_a_map_at_margin_8e_9(capsys):
     assert main(["verdict", "--map", MARGIN_8E_9, "--kmax", "5"]) == 0
     assert "bracket: k=5" in capsys.readouterr().out
+
+
+def test_verdict_on_a_seven_pole_map_at_the_default_n(capsys):
+    assert main(["verdict", "--map", SEVEN_POLE, "--kmax", "3"]) == 0
+    assert "bracket: k=3" in capsys.readouterr().out
 
 
 def test_config_file_with_map_section(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from capax import boundary, numerics
 from capax.cli import example_map, parse_map
 from capax.errors import NonConvergence
-from capax.ratmap import RationalMapPF, as_fraction, is_n_good
+from capax.ratmap import RationalMapPF, evaluate, is_n_good
 
 from test_boundary import DEGREE16_0, MARGINAL_REFINED
 
@@ -20,9 +20,6 @@ def test_poly_trim_drops_leading_zeros():
 
 
 def test_poly_arithmetic():
-    # (1 + z)(1 - z) = 1 - z^2
-    prod = numerics.poly_mul([1, 1], [1, -1])
-    assert np.allclose(prod, [1, 0, -1])
     s = numerics.poly_add([1, 2], [3, -2, 0])
     assert s.tolist() == [4.0 + 0j]
     assert numerics.poly_scale([1, 2], 3).tolist() == [3.0 + 0j, 6.0 + 0j]
@@ -80,7 +77,7 @@ def test_real_coefficients_give_conjugate_closed_roots():
 
 def test_clustered_double_root():
     # (z - 1)^2 (z + 2): the double root is recovered to ~sqrt(eps) accuracy.
-    c = numerics.poly_mul(numerics.poly_mul([-1, 1], [-1, 1]), [2, 1])
+    c = numerics.poly_from_roots([1.0, 1.0, -2.0])
     r = numerics.roots(c)
     near_one = np.sort(np.abs(r - 1.0))
     assert near_one[0] < 1e-6 and near_one[1] < 1e-6
@@ -136,21 +133,28 @@ def test_in_place_horner_is_bit_identical(M, n):
 def test_polish_rows_ok_matches_a_fresh_residual_check():
     rng = np.random.default_rng(29)
     n = 5
-    qc = numerics.poly_from_roots(rng.normal(size=n) + 1j * rng.normal(size=n))
-    pc = np.zeros(n + 1, dtype=np.complex128)
-    pc[:n] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    R = RationalMapPF(0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                      rng.normal(size=n) + 1j * rng.normal(size=n))
+    a, p, tol = R.residues, R.poles, numerics.DEFAULT_ROOT_TOL
     ws = np.exp(2j * np.pi * np.arange(64) / 64)
-    Z, _ = numerics.solve_rows(pc, qc, ws, numerics.DEFAULT_ROOT_TOL)
-    # perturbed guesses: most rows converge, the wildly perturbed ones do not
-    guess = Z + 1e-3 * rng.normal(size=Z.shape)
-    guess[::7] += 50.0
-    Zp, ok = numerics.polish_rows(pc, qc, ws, guess, numerics.DEFAULT_ROOT_TOL)
-    fresh = np.array([
-        numerics.residual_ok(pc - w * qc, z, numerics.DEFAULT_ROOT_TOL).all()
-        for w, z in zip(ws, Zp)
-    ])
+    Z, ok = numerics.solve_pf_rows(a, p, ws, tol)
+    assert ok.all()
+    # perturbed roots: every row but the untouched ones fails the check
+    guess = Z * (1 + 1e-6 * rng.normal(size=Z.shape))
+    guess[::7] = Z[::7]
+
+    def fresh(Z):
+        return np.array([
+            (np.abs(evaluate(R, z) - w) <= tol * np.abs(a / (z[:, None] - p)).sum(axis=1)).all()
+            for w, z in zip(ws, Z)
+        ])
+
+    ok = numerics.pf_rows_ok(a, p, ws, guess, tol)
     assert ok.any() and not ok.all()
-    assert np.array_equal(ok, fresh)
+    assert np.array_equal(ok, fresh(guess))
+    # the warm Aberth polish brings every row back, and its ok is the check
+    Zp, ok = numerics.polish_pf_rows(a, p, ws, guess, tol)
+    assert ok.all() and np.array_equal(ok, fresh(Zp))
 
 
 # The partial-fraction Aberth kernel behind trace's row solver, on maps of
@@ -165,13 +169,6 @@ BANK_STYLE_MAPS = [
 ]
 
 
-def _pf_args(R):
-    P, Q = as_fraction(R)
-    pc = np.zeros(R.n + 1, dtype=np.complex128)
-    pc[: R.n] = P
-    return R.residues, R.poles, pc, Q
-
-
 def _anchor_ws(R):
     """The anchor row points of trace at the map's default N."""
     N = boundary.start_n(is_n_good(R).data.max_cv_modulus)
@@ -181,25 +178,26 @@ def _anchor_ws(R):
 
 def _counting_eigensolve(monkeypatch):
     rows = []
-    real = numerics.solve_rows
+    real = numerics._pf_eigvals
 
-    def counting(pc, qc, ws, tol):
+    def counting(a, p, ws):
         rows.append(len(ws))
-        return real(pc, qc, ws, tol)
+        return real(a, p, ws)
 
-    monkeypatch.setattr(numerics, "solve_rows", counting)
+    monkeypatch.setattr(numerics, "_pf_eigvals", counting)
     return rows
 
 
 @pytest.mark.parametrize("R", BANK_STYLE_MAPS)
 def test_aberth_anchor_rows_match_the_eigensolver(monkeypatch, R):
     R = R()
-    a, p, pc, Q = _pf_args(R)
+    a, p = R.residues, R.poles
     ws = _anchor_ws(R)
-    ref, ref_ok = numerics.solve_rows(pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
+    # the roots of R = w are the eigenvalues of diag(p) + a 1^T / w
+    ref = np.array([np.linalg.eigvals(np.diag(p) + a[:, None] / w) for w in ws])
     fallback = _counting_eigensolve(monkeypatch)
-    Z, ok = numerics.solve_pf_rows(a, p, pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
-    assert fallback == [] and ok.all() and ref_ok.all()
+    Z, ok = numerics.solve_pf_rows(a, p, ws, numerics.DEFAULT_ROOT_TOL)
+    assert fallback == [] and ok.all()
     # the same root set: the nearest-root assignment is a bijection
     D = np.abs(Z[:, :, None] - ref[:, None, :])
     assert (np.sort(D.argmin(axis=2), axis=1) == np.arange(R.n)).all()
@@ -210,14 +208,14 @@ def test_aberth_anchor_rows_match_the_eigensolver(monkeypatch, R):
 def test_aberth_returns_the_exact_start_of_a_disk_map(monkeypatch):
     # n = 1: p + a/w is the root itself, so f = 0 at the start
     R = RationalMapPF([0.5], [0.25 - 0.5j])
-    a, p, pc, Q = _pf_args(R)
+    a, p = R.residues, R.poles
     ws = np.exp(2j * np.pi * np.arange(64) / 64)
     start = p + a / ws[:, None]
     Z, done = numerics.aberth_rows(a, p, ws, start)
     assert done.all()
     assert np.abs(Z - start).max() <= 1e-15
     fallback = _counting_eigensolve(monkeypatch)
-    Z, ok = numerics.solve_pf_rows(a, p, pc, Q, ws, numerics.DEFAULT_ROOT_TOL)
+    Z, ok = numerics.solve_pf_rows(a, p, ws, numerics.DEFAULT_ROOT_TOL)
     assert ok.all() and fallback == []
     assert np.abs(Z - start).max() <= 1e-15
 
@@ -228,15 +226,19 @@ def test_aberth_returns_the_exact_start_of_a_disk_map(monkeypatch):
 ])
 @pytest.mark.parametrize("force", ["budget", "coincident"])
 def test_unsettled_rows_go_to_the_eigensolver(monkeypatch, R, N, force):
+    # budget: no row freezes, so every solved row goes to the eigensolver
+    # (and every fill block with it); coincident: only the cold starts are
+    # spoiled, since the fill and the eigenvalues warm-start aberth_rows too
     R = R()
     expect = np.stack([c.z for c in boundary.trace(R, N=N).curves])
-    kernel_rows = []
+    cold_rows = []
     real = numerics.aberth_rows
 
     def forced(a, p, ws, Z0):
-        kernel_rows.append(len(ws))
-        if force == "coincident":
-            Z0 = np.full(p.size, p[0] + 1.0)  # every root starts at one point
+        if np.array_equal(np.broadcast_to(Z0, (len(ws), p.size)), p + a / ws[:, None]):
+            cold_rows.append(len(ws))
+            if force == "coincident":
+                Z0 = np.full(p.size, p[0] + 1.0)  # every root starts at one point
         return real(a, p, ws, Z0)
 
     monkeypatch.setattr(numerics, "aberth_rows", forced)
@@ -244,7 +246,9 @@ def test_unsettled_rows_go_to_the_eigensolver(monkeypatch, R, N, force):
         monkeypatch.setattr(numerics, "_ABERTH_ITERS", 1)
     fallback = _counting_eigensolve(monkeypatch)
     got = np.stack([c.z for c in boundary.trace(R, N=N).curves])
-    assert sum(kernel_rows) > 0 and sum(fallback) == sum(kernel_rows)
+    assert sum(cold_rows) > 0 and sum(fallback) == sum(cold_rows)
+    if force == "budget":
+        assert sum(cold_rows) == N  # every fill block was solved cold
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 

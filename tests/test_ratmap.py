@@ -65,14 +65,6 @@ def test_conjugation_symmetry_for_real_maps():
     assert np.max(np.abs(R(np.conj(z)) - np.conj(R(z)))) < 1e-14
 
 
-def test_as_fraction():
-    w = np.exp(2j * np.pi * np.arange(3) / 3)
-    R = RationalMapPF(np.full(3, 1 / 3), w)
-    P, Q = ratmap.as_fraction(R)
-    assert np.allclose(P, [0, 0, 1], atol=1e-15)  # z^2
-    assert np.allclose(Q, [-1, 0, 0, 1], atol=1e-15)  # z^3 - 1
-
-
 def test_preimages_quadratic():
     # R(z) = -1 reduces to z^2 + 0.5 z - 1.1 = 0.
     R = two_pole_map()
