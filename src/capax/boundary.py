@@ -8,7 +8,8 @@ R(z) = e^{it} as t advances.  Only the residues and poles of R enter.
 
 The root sets come from numerics.solve_pf_rows, the partial-fraction Aberth
 kernel (the one iteration for every row) with an eigensolver fallback.  Only
-every S-th node (S = 8 once N >= 512) is solved this way, cold from the poles.
+every S-th node (S = min(8, N/64): 2 at N = 128, 8 from N = 512) is solved
+this way, cold from the poles.
 One walk (_continue) puts rows in order: from an ordered row it matches every
 hop over raw rows at their grid times in one batch, in the solver's raw root
 order, by nearest neighbor with a factor-2 stability margin, and composes the
@@ -29,9 +30,11 @@ Uniform-grid (periodic trapezoid) sums over these analytic curves converge
 geometrically, with a rate set by the critical value v nearest the unit
 circle: the error decays roughly like |v|^N (Trefethen & Weideman, SIAM Rev.
 56, 2014).  By default trace therefore chooses N from the critical values it
-already computes to classify the map (start_n); capacity.bounds_sequence
-doubles it while the quadrature error is too large.  Each sampling stores
-its trapezoid weights lam_i = |dz/dt|_i / N.
+already computes to classify the map (start_n): the floor AUTO_N_MIN = 128
+serves every map with max |v| < 0.75, where |v|^128 is already below
+AUTO_DECAY, and capacity.bounds_sequence doubles N while the quadrature error
+is too large.  Each sampling stores its trapezoid weights
+lam_i = |dz/dt|_i / N.
 """
 
 from dataclasses import dataclass
@@ -44,7 +47,7 @@ from .ratmap import Goodness, is_n_good
 
 DEFAULT_N = 4096  # the largest resolution chosen automatically
 MAX_N = 1 << 16
-AUTO_N_MIN = 256
+AUTO_N_MIN = 128
 AUTO_DECAY = 1e-16
 NODE_RESIDUAL_TOL = 1e-9
 STABILITY_RATIO = 2.0
@@ -75,7 +78,11 @@ class BoundarySampling:
 
 def start_n(max_cv_modulus):
     """The automatic resolution: the smallest power of two N >= AUTO_N_MIN
-    with max_cv_modulus**N <= AUTO_DECAY, at most DEFAULT_N."""
+    with max_cv_modulus**N <= AUTO_DECAY, at most DEFAULT_N.
+
+    The floor 128 serves every max_cv_modulus < 0.75; a map with max_cv_modulus
+    in about (0.67, 0.75) may miss QUAD_TOL there, and bounds_sequence then
+    doubles N to 256."""
     N = AUTO_N_MIN
     while N < DEFAULT_N and max_cv_modulus**N > AUTO_DECAY:
         N *= 2
@@ -210,11 +217,14 @@ def _identity_hops(Z):
 
     Where this holds, _match_rows finds the identity and calls it stable;
     the two differ only on exact distance ties, where this test rejects."""
+    # roots-major (n, n, M): D[j, i, m] = |Z[m + 1, j] - Z[m, i]|, so both
+    # the diagonal and the min over j run over leading axes
     n = Z.shape[1]
-    D = np.abs(Z[:, :, None] - np.roll(Z, -1, axis=0)[:, None, :])
-    own = D.reshape(len(Z), -1)[:, :: n + 1].copy()
-    D.reshape(len(Z), -1)[:, :: n + 1] = np.inf
-    return (D.min(axis=2) > STABILITY_RATIO * own).all(axis=1)
+    Zt = np.ascontiguousarray(Z.T)
+    D = np.abs(np.roll(Zt, -1, axis=1)[:, None, :] - Zt)
+    own = D.reshape(n * n, -1)[:: n + 1].copy()
+    D.reshape(n * n, -1)[:: n + 1] = np.inf
+    return (D.min(axis=0) > STABILITY_RATIO * own).all(axis=0)
 
 
 def _refill(Z, ts, a, Zb, solver):

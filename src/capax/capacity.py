@@ -47,8 +47,8 @@ quadratic form in the difference systems, with no second factorization.  The
 largest such change over all rows is the quadrature-error estimate
 quad_error, and a run is certified only when it is at most QUAD_TOL.  With
 N=None the trace starts at the resolution chosen from the critical values
-(boundary.start_n) and N doubles, up to boundary.DEFAULT_N, while a well
-conditioned run misses QUAD_TOL.
+(boundary.start_n, 128 for max |critical value| < 0.75) and N doubles, up
+to boundary.DEFAULT_N, while a well conditioned run misses QUAD_TOL.
 """
 
 from dataclasses import dataclass

@@ -17,6 +17,23 @@ def disk_map(a=0.7, p=0.3 + 0.1j):
     return RationalMapPF([a], [p])
 
 
+@pytest.mark.parametrize("max_cv, N", [
+    (0.0, 128),
+    (0.74, 128),  # 0.74**128 = 1.8e-17
+    (0.75, 256),  # 0.75**128 = 1.02e-16
+    (0.866, 512),  # 0.866**256 = 1.01e-16
+    (0.999, boundary.DEFAULT_N),  # 0.999**4096 = 0.017: the cap
+])
+def test_start_n_table(max_cv, N):
+    assert boundary.start_n(max_cv) == N
+
+
+def test_start_n_never_goes_below_the_floor():
+    Ns = [boundary.start_n(v) for v in np.linspace(0.0, 0.9999, 1001)]
+    assert min(Ns) == boundary.AUTO_N_MIN == 128
+    assert all(boundary.valid_n(N) for N in Ns) and Ns == sorted(Ns)
+
+
 def test_trace_validates_n():
     R = disk_map()
     for bad in (100, 32, 131072, 0):
@@ -412,15 +429,21 @@ TRACE_MAPS = [
     pytest.param(lambda: parse_map(MARGINAL_REFINED), id="marginal-refined"),
 ]
 
+# TRACE_MAPS with the grid size N and its anchor stride S: at DEFAULT_N
+# (S = 8) under their own ids, and at the automatic floor N = 128 (S = 2)
+TRACE_GRIDS = [pytest.param(*p.values, boundary.DEFAULT_N, 8, id=p.id) for p in TRACE_MAPS] + [
+    pytest.param(*p.values, 128, 2, id=f"{p.id}-N128") for p in TRACE_MAPS
+]
 
-@pytest.mark.parametrize("R", TRACE_MAPS)
-def test_anchor_and_fill_matches_full_grid(R):
-    Z, ref = _trace_and_reference(R())
+
+@pytest.mark.parametrize("R, N, S", TRACE_GRIDS)
+def test_anchor_and_fill_matches_full_grid(R, N, S):
+    Z, ref = _trace_and_reference(R(), N)
     assert np.abs(Z - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("R", TRACE_MAPS)
-def test_failed_blocks_fall_back_to_the_full_grid_walk(monkeypatch, R):
+@pytest.mark.parametrize("R, N, S", TRACE_GRIDS)
+def test_failed_blocks_fall_back_to_the_full_grid_walk(monkeypatch, R, N, S):
     # Fill guesses that never converge send every block to the fallback,
     # which must then reproduce the full-grid walk exactly.
     def unconverged(a, p, ws, Z, tol):
@@ -437,8 +460,8 @@ def test_failed_blocks_fall_back_to_the_full_grid_walk(monkeypatch, R):
         return real_refill(Z, ts, a, Zb, solver)
 
     monkeypatch.setattr(boundary, "_refill", counting_refill)
-    Z, ref = _trace_and_reference(R())
-    assert refilled == list(range(0, boundary.DEFAULT_N, 8))
+    Z, ref = _trace_and_reference(R(), N)
+    assert refilled == list(range(0, N, S))
     assert np.array_equal(Z, ref)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from capax import boundary, capacity
+from capax import boundary, capacity, ratmap
 from capax.cli import REFERENCE_BOUNDS, example_map, parse_map
 from capax.errors import EmptyBasis, IllConditioned
 from capax.ratmap import RationalMapPF, affine_conjugate
@@ -17,6 +17,28 @@ from conftest import random_good_map
 from test_boundary import DEGREE16_0, MARGIN_8E_9, MARGINAL_AMBIGUOUS, SEVEN_POLE
 
 BANK_PATH = Path(__file__).resolve().parents[1] / "pipebench" / "bank.json"
+
+# The degree16 recipe of pipebench/bank.py from default_rng(0), its residues
+# scaled to max |cv| = 0.72: start_n gives 128, where the quadrature error
+# misses QUAD_TOL.
+ESCALATING_072 = (
+    "-(0.091361211497108727-0.02946982941992423i)/(z-(0.54784674928581722-0.92085314494451875i))"
+    "+(0.017473128331054955-0.058326998282715828i)/(z+(1.8361059042552212+1.9338894578858836i))"
+    "+(0.012035663957517675+0.098465793422480588i)/(z-(1.2530809568010897+1.6510223091108869i))"
+    "+(0.059800758985280499+0.020273632042713423i)/(z-(0.42654310306871945+0.9179862439359936i))"
+    "-(0.05835962559783503-0.039901853362227901i)/(z-(0.17449996586169148+1.7402896951510729i))"
+    "+(0.044765152996595094+0.13351548251998871i)/(z-(1.2634142164861286-1.9890459993194076i))"
+    "+(0.040042895139431177+0.025678565410018752i)/(z-(0.91862178571977626-1.2973775175897639i))"
+    "-(0.090384123347391321+0.049935186861272345i)/(z-(1.4527156893995463+0.16584488099636685i))"
+    "-(0.0082652593590153579-0.026165306677031264i)/(z+(0.80115243785046086+0.30925111520936621i))"
+    "-(0.062473638549793639+0.11709201527514389i)/(z+(1.8867213154181481+1.5028668940017442i))"
+    "+(0.039397787205202872+0.1200094585244835i)/(z-(0.68249765877452129+0.58875804629700035i))"
+    "+(0.046062206129448578-0.017533535677555213i)/(z-(0.46154044592501542-0.46528978295246626i))"
+    "-(0.091915655997297743-0.10411247744836298i)/(z-(1.9888397431568441+1.9233413551049203i))"
+    "+(0.018808426332658324+0.014683285250995399i)/(z+(1.4596139799103551-0.8859533607763268i))"
+    "-(0.043308480585172685+0.045604024677647341i)/(z-(0.10141728990290355-0.75903249776417736i))"
+    "+(0.032974629966399639-0.016242947800698158i)/(z-(1.7361740638249987-0.56881921316371908i))"
+)
 
 
 def disk_map(a=0.6, p=0.0 + 0.0j):
@@ -128,7 +150,7 @@ def test_s_override_validation_and_use():
 def test_adaptive_resolution_reports_final_n():
     R = disk_map(0.8, 0.1j)
     bounds = capacity.bounds_sequence(R, 2)
-    assert bounds.N == 256
+    assert bounds.N == 128
     assert bounds.quad_error <= capacity.QUAD_TOL
     for _, low, up in bounds.rows:
         assert abs(low - 0.8) < 1e-10 and abs(up - 0.8) < 1e-10
@@ -397,7 +419,7 @@ def test_traced_poles_are_not_wound_again(monkeypatch):
 def test_degree16_default_resolution():
     R = parse_map(DEGREE16_0)
     auto = capacity.bounds_sequence(R, 4)
-    assert auto.N == 256 and auto.certified
+    assert auto.N == 128 and auto.certified
     assert auto.quad_error <= capacity.QUAD_TOL
     fine = capacity.bounds_sequence(R, 4, N=4096)
     assert np.abs(np.array(auto.rows) - np.array(fine.rows)).max() <= 1e-12
@@ -453,18 +475,28 @@ def test_seven_pole_map_has_a_bracket_at_the_default_n():
 
 
 def test_escalation_classifies_the_map_once(monkeypatch):
-    # degree16-3 misses QUAD_TOL at N = 128 and escalates once; the re-trace
-    # at N = 256 must not classify the map again
-    job = next(j for j in json.loads(BANK_PATH.read_text())["degree16"] if j["id"] == "degree16-3")
-    calls = []
-    is_n_good = boundary.is_n_good
+    # the natural path, with start_n as it is: the map misses QUAD_TOL at
+    # N = 128 and escalates once; the re-trace at N = 256 must not classify
+    # the map again
+    R = parse_map(ESCALATING_072)
+    assert boundary.start_n(ratmap.critical_data(R).max_cv_modulus) == 128
+    traced, classified = [], []
+    trace, is_n_good = capacity.trace, boundary.is_n_good
+
+    def recording_trace(R, N=None, check_good=True):
+        sampling = trace(R, N, check_good)
+        traced.append(sampling.N)
+        return sampling
 
     def counting(R):
-        calls.append(R)
+        classified.append(R)
         return is_n_good(R)
 
-    monkeypatch.setattr(boundary, "start_n", lambda max_cv_modulus: 128)
+    monkeypatch.setattr(capacity, "trace", recording_trace)
     monkeypatch.setattr(boundary, "is_n_good", counting)
-    bounds = capacity.bounds_sequence(parse_map(job["map"]), job["kmax"])
+    bounds = capacity.bounds_sequence(R, 4)
+    assert traced == [128, 256]
     assert bounds.N == 256 and bounds.certified
-    assert len(calls) == 1
+    assert len(classified) == 1
+    fine = capacity.bounds_sequence(R, 4, N=4096)
+    assert np.abs(np.array(bounds.rows) - np.array(fine.rows)).max() <= 1e-12
