@@ -7,24 +7,20 @@ and all n curves are sampled on one uniform t grid by following the n roots of
 R(z) = e^{it} as t advances.  Only the residues and poles of R enter.
 
 The root sets come from numerics.solve_pf_rows, the partial-fraction Aberth
-kernel (the one iteration for every row) with an eigensolver fallback.  Only
-every S-th node (S = min(8, N/64): 2 at N = 128, 8 from N = 512) is solved
-this way, cold from the poles.
-One walk (_continue) puts rows in order: from an ordered row it matches every
-hop over raw rows at their grid times in one batch, in the solver's raw root
-order, by nearest neighbor with a factor-2 stability margin, and composes the
-hop permutations.  A failed hop is bisected: its midpoint is solved warm from
-the hop's ordered left row, and only a half that still fails is bisected
-again, down to a width at roundoff, before giving up.  The anchor chain walks
-from the first anchor and closes on it at ts[0] + 2pi, where it must come back
-unpermuted.  The nodes between two anchors are filled by a tangent predictor
-from the left anchor and the warm Aberth iteration.  A block (an anchor, its
-fill nodes and the next anchor) is kept when every fill root converged and
-every hop inside it is a stable identity match; otherwise its fill nodes are
-solved cold and walked one grid step at a time onto the next anchor at its
-grid time, exactly as if every node had been solved.  Warm starts only feed
-the matching, never the nodes, and each row is solved independently of its
-batch, so that equality holds bit for bit.
+kernel (the one iteration for every row) with an eigensolver fallback.  Every
+S-th node (S = min(8, N/64): 2 at N = 128, 8 from N = 512) is an anchor,
+solved cold from the poles.  Each node between two anchors is solved warm from
+a tangent predictor off its left anchor's raw roots; a row the warm iteration
+does not settle goes to the eigensolver like any other.
+One walk (_order_chain) then puts all N rows in order: from the first row it
+matches every hop over the raw rows at their grid times in one batch, in the
+solver's raw root order, by nearest neighbor with a factor-2 stability margin,
+and composes the hop permutations.  A failed hop is bisected: its midpoint is
+solved warm from the hop's left row, and only a half that still fails
+is bisected again, down to a width at roundoff, before giving up.  The walk
+closes on the first row at ts[0] + 2pi, where it must come back unpermuted.
+Warm starts only save iterations: every row is matched as a raw root set, and
+each row is solved independently of its batch.
 
 Uniform-grid (periodic trapezoid) sums over these analytic curves converge
 geometrically, with a rate set by the critical value v nearest the unit
@@ -103,33 +99,37 @@ def _match_rows(prev, new):
     STABILITY_RATIO.  Each row of a distance matrix is judged on its own, so
     reordering prev[m] only reorders perm[m].
     """
-    D = np.abs(prev[:, :, None] - new[:, None, :])
-    perm = D.argmin(axis=2)
-    s = np.sort(perm, axis=1)
-    ok = (s[:, 1:] != s[:, :-1]).all(axis=1)
-    if perm.shape[1] > 1:
-        idx = perm[:, :, None]
-        d1 = np.take_along_axis(D, idx, axis=2)[:, :, 0]
-        np.put_along_axis(D, idx, np.inf, axis=2)
-        d2 = D.min(axis=2)
-        ok &= ~(d2 < STABILITY_RATIO * d1).any(axis=1)
-    return perm, ok
+    # roots-major (n, n, M): D[j, i, m] = |new[m, j] - prev[m, i]|, so the
+    # argmin, sort and min over j run over leading axes
+    D = np.abs(np.ascontiguousarray(new.T)[:, None, :] - np.ascontiguousarray(prev.T))
+    perm = D.argmin(axis=0)
+    s = np.sort(perm, axis=0)
+    ok = (s[1:] != s[:-1]).all(axis=0)
+    if len(perm) > 1:
+        d1 = np.take_along_axis(D, perm[None], axis=0)[0]
+        np.put_along_axis(D, perm[None], np.inf, axis=0)
+        ok &= ~(D.min(axis=0) < STABILITY_RATIO * d1).any(axis=0)
+    return perm.T, ok
 
 
 def _compose(P):
     """Prefix compositions C[i] = P[i][P[i-1][...P[0]]] of the (M, n)
-    permutation rows P, by log-depth doubling."""
-    C = P.copy()
+    permutation rows P.  Only the rows that move a root change the prefix
+    (in solver order, few or none of a trace's hops do); their prefixes are
+    taken by log-depth doubling behind an identity row."""
+    n = P.shape[1]
+    moved = np.flatnonzero((P != np.arange(n)).any(axis=1))
+    C = np.vstack((np.arange(n), P[moved]))
     s = 1
     while s < len(C):
         C[s:] = np.take_along_axis(C[s:], C[:-s], axis=1)
         s *= 2
-    return C
+    return C[np.searchsorted(moved, np.arange(len(P)), side="right")]
 
 
 def _refine_gap(left, t0, t1, target, solver):
-    """Bisect the failed hop from the ordered roots left at t0 to the raw
-    roots target at t1: solve its midpoint warm from left, and bisect again
+    """Bisect the failed hop from the roots left at t0 to the raw roots
+    target at t1: solve its midpoint warm from left, and bisect again
     only a half whose hop does not match stably.  No t is solved twice, and
     t1 not at all.  Returns the permutation with target[perm] ordered like
     left."""
@@ -155,32 +155,23 @@ def _refine_gap(left, t0, t1, target, solver):
     return hop(left, t0, t1, target)
 
 
-def _continue(left, t0, Z, ts, solver):
-    """The one walk of trace: continue the ordered roots left at t0 over the
-    raw root sets Z at the grid times ts, t0 < ts[0] < ts[1] < ...
+def _order_chain(Z, ts, solver):
+    """The one walk of trace: impose continuity in t on the raw root sets Z
+    at the grid times ts, from Z[0] over Z[1:] and closing on Z[0] at
+    ts[0] + 2pi.
 
     Every hop is matched in raw solver order at once; only the hops that
-    fail go to _refine_gap.  Returns the composed permutations C, with
-    Z[i][C[i]] ordered like left.  A caller that knows where the walk must
-    end appends that row to Z and checks that C[-1] is the identity.
-    """
-    rows = np.concatenate((left[None], Z))
-    perm, ok = _match_rows(rows[:-1], rows[1:])
-    t_lefts = np.concatenate(([t0], ts[:-1]))
-    for i in np.flatnonzero(~ok):
-        perm[i] = _refine_gap(rows[i], t_lefts[i], ts[i], Z[i], solver)
-    return _compose(perm)
-
-
-def _order_chain(Z, ts, solver):
-    """Impose continuity in t on the raw root sets Z at the grid times ts:
-    walk from Z[0] over Z[1:] and close on Z[0] at ts[0] + 2pi.  Returns the
+    fail go to _refine_gap.  The composed hop permutations order every row
+    like Z[0], and the closing one must be the identity.  Returns the
     ordered (N, n) array; raises TrackingAmbiguity on irreparable ambiguity
     and ComponentCountMismatch when the walk comes back permuted.
     """
     W = np.roll(Z, -1, axis=0)
     tw = np.append(ts[1:], ts[0] + 2.0 * np.pi)
-    C = _continue(Z[0], ts[0], W, tw, solver)
+    perm, ok = _match_rows(Z, W)
+    for i in np.flatnonzero(~ok):
+        perm[i] = _refine_gap(Z[i], ts[i], tw[i], W[i], solver)
+    C = _compose(perm)
     if np.any(C[-1] != np.arange(Z.shape[1])):
         raise ComponentCountMismatch(
             "tracking around the full circle permuted the roots; "
@@ -189,65 +180,10 @@ def _order_chain(Z, ts, solver):
     return np.roll(np.take_along_axis(W, C, axis=1), 1, axis=0)
 
 
-def _fill(R, Za, ts, polish):
-    """Nodes of the grid ts between the ordered anchor rows Za = Z[::S].
-
-    Each fill node is predicted from its left anchor along the tangent
-    dz/dt = i e^{it} / R'(z) and then polished by warm Aberth (polish).
-    Returns the (N, n) nodes and, per block (an anchor, its S - 1 fill rows
-    and the next anchor), whether every fill row converged (frozen and
-    passing the residual check) and every hop of the block is a stable
-    identity match (_identity_hops), as the full-grid walk would find.
-    """
-    N, (A, n) = ts.size, Za.shape
-    S = N // A
-    slope = 1j * np.exp(1j * ts[::S])[:, None] / R.derivative(Za)
-    Z = (Za[:, None] + ts[None, :S, None] * slope[:, None]).reshape(N, n)
-    fill = np.arange(N) % S != 0
-    Z[fill], converged = polish(np.exp(1j * ts[fill]), Z[fill])
-    good = _identity_hops(Z)
-    good[fill] &= converged
-    return Z, good.reshape(A, S).all(axis=1)
-
-
-def _identity_hops(Z):
-    """Per row of the (M, n) root sets, whether the hop Z[m] -> Z[m + 1]
-    (cyclic) is a stable identity match: every root's own successor is
-    closer by more than STABILITY_RATIO than any other root of the next row.
-
-    Where this holds, _match_rows finds the identity and calls it stable;
-    the two differ only on exact distance ties, where this test rejects."""
-    # roots-major (n, n, M): D[j, i, m] = |Z[m + 1, j] - Z[m, i]|, so both
-    # the diagonal and the min over j run over leading axes
-    n = Z.shape[1]
-    Zt = np.ascontiguousarray(Z.T)
-    D = np.abs(np.roll(Zt, -1, axis=1)[:, None, :] - Zt)
-    own = D.reshape(n * n, -1)[:: n + 1].copy()
-    D.reshape(n * n, -1)[:: n + 1] = np.inf
-    return (D.min(axis=0) > STABILITY_RATIO * own).all(axis=0)
-
-
-def _refill(Z, ts, a, Zb, solver):
-    """Replace the fill rows after anchor row a by the cold-solved root sets
-    Zb, ordered by the full-grid walk over Zb and the next anchor, taken at
-    its grid time (ts[0] + 2pi after the last block); that walk must land on
-    the next anchor in the anchor chain's order."""
-    N, n = Z.shape
-    b = a + len(Zb)
-    t_next = ts[b + 1] if b + 1 < N else ts[0] + 2.0 * np.pi
-    rows = np.concatenate((Zb, Z[(b + 1) % N][None]))
-    C = _continue(Z[a], ts[a], rows, np.append(ts[a + 1 : b + 1], t_next), solver)
-    if np.any(C[-1] != np.arange(n)):
-        raise TrackingAmbiguity(
-            f"the grid walk from t = {ts[a]:.6f} did not reach the next anchor "
-            "in the anchor chain's order"
-        )
-    Z[a + 1 : b + 1] = np.take_along_axis(Zb, C[:-1], axis=1)
-
-
-def _solve_grid(solver, ts):
-    """Raw root sets at every t in ts; NonConvergence at the first failure."""
-    Z, ok = solver(np.exp(1j * ts))
+def _solve_grid(solver, ts, Z0=None):
+    """Raw root sets at every t in ts, from the guess rows Z0 or cold;
+    NonConvergence at the first failure."""
+    Z, ok = solver(np.exp(1j * ts), Z0)
     if not ok.all():
         bad = int(np.flatnonzero(~ok)[0])
         raise NonConvergence(f"root solve failed at t = {ts[bad]:.6f}")
@@ -297,42 +233,38 @@ def trace(R, N=None, check_good=True):
 
 
 def _row_solver(R):
-    """trace's row kernels, from the residues and poles alone: solver(ws,
+    """trace's row kernel, from the residues and poles alone: solver(ws,
     Z0=None) returns the roots of R(z) = w for every w in ws and a success
-    flag per row, from the guesses Z0 (broadcast) or cold from the poles;
-    polish(ws, Z) polishes one guess row per w, with a flag per row."""
+    flag per row, from the guesses Z0 (one row, or one per w) or cold from
+    the poles."""
     a, p, tol = R.residues, R.poles, numerics.DEFAULT_ROOT_TOL
 
     def solver(ws, Z0=None):
         return numerics.solve_pf_rows(a, p, ws, tol, Z0)
 
-    def polish(ws, Z):
-        return numerics.polish_pf_rows(a, p, ws, Z, tol)
-
-    return solver, polish
+    return solver
 
 
 def _trace(R, N):
     """trace at the grid size N, for a map already classified."""
     n = R.n
-    solver, polish = _row_solver(R)
+    solver = _row_solver(R)
     ts = 2.0 * np.pi * np.arange(N) / N
     S = min(_ANCHOR_STRIDE, N // 64)
-    Za = _solve_grid(solver, ts[::S])
+    Z = _solve_grid(solver, ts[::S])
+    if S > 1:
+        # fill rows start from the tangent dz/dt = i e^{it} / R'(z) at their
+        # raw left anchor; the guess only saves iterations, never orders
+        slope = 1j * np.exp(1j * ts[::S])[:, None] / R.derivative(Z)
+        Z = (Z[:, None] + ts[None, :S, None] * slope[:, None]).reshape(N, n)
+        fill = np.arange(N) % S != 0
+        Z[fill] = _solve_grid(solver, ts[fill], Z[fill])
     # Seeds: the n distinct t = 0 roots of the first anchor row, one per
     # component for a good map.  Which root lies on which component is
     # settled after tracing by winding numbers; no geometric heuristic here
     # (nearest-pole grouping misfires on good maps whose residue mass sits
     # close to a neighboring component).
-    Z = _order_chain(Za, ts[::S], solver)
-    if S > 1:
-        Z, block_ok = _fill(R, Z, ts, polish)
-        bad = np.flatnonzero(~block_ok)
-        if bad.size:
-            rows = (bad[:, None] * S + np.arange(1, S)).ravel()
-            Zb = _solve_grid(solver, ts[rows]).reshape(bad.size, S - 1, n)
-            for j, Zj in zip(bad, Zb):
-                _refill(Z, ts, j * S, Zj, solver)
+    Z = _order_chain(Z, ts, solver)
 
     # R = sum a/(z - p) and |R'| = |sum a/(z - p)^2| from one pole-distance
     # tensor; no pole-proximity guard (nodes stay away from poles)

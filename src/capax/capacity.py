@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import DEFAULT_N, trace
+from .boundary import DEFAULT_N, _windings, trace
 from .errors import EmptyBasis, IllConditioned
 
 COND_LIMIT = 1e12
@@ -125,8 +125,6 @@ def _check_poles_inside(sampling, S):
     """Each point of S must lie inside exactly one boundary curve.  trace has
     already found each curve's enclosed pole, and only that pole, inside it,
     so only the other points of S are wound."""
-    from .boundary import _windings
-
     traced = {c.enclosed_pole for c in sampling.curves}
     S = [p for p in S if complex(p) not in traced]
     if not S:

@@ -1,17 +1,18 @@
-"""Complex polynomial arithmetic and two root finders.
+"""Root kernels: the partial-fraction solver behind trace, and roots.
 
+The roots of R(z) = w for R = sum_j a_j/(z - p_j) and a batch of w, as trace
+needs them, never see a polynomial: solve_pf_rows runs a batched Aberth
+iteration on the partial fractions (aberth_rows), O(n) per root and step,
+and falls back to one batched eigensolve of diag(p) + a 1^T/w.  Every
+accepted row passes one residual check (pf_rows_ok).
+
+The polynomial helpers serve only roots and ratmap.critical_data.
 Polynomials are plain complex128 ndarrays in ascending coefficient order,
 c[0] + c[1] z + ... + c[d] z^d, kept trimmed so the leading coefficient of a
-nonzero polynomial is nonzero.  That array convention is the public contract;
-everything here accepts any sequence and returns trimmed arrays.
-
-Roots of one polynomial (roots) come from companion-matrix eigenvalues, which
-are backward stable (Edelman & Murakami, Math. Comp. 64, 1995), followed by
-Newton polishing.  The roots of R(z) = w for R = sum_j a_j/(z - p_j) and a
-batch of w, as trace needs them, never see a polynomial: solve_pf_rows runs a
-batched Aberth iteration on the partial fractions (aberth_rows), O(n) per
-root and step, and falls back to one batched eigensolve of diag(p) + a 1^T/w.
-Every accepted row passes one residual check (pf_rows_ok).
+nonzero polynomial is nonzero; everything here accepts any sequence and
+returns trimmed arrays.  Roots of one polynomial (roots) come from
+companion-matrix eigenvalues, which are backward stable (Edelman & Murakami,
+Math. Comp. 64, 1995), followed by Newton polishing.
 """
 
 import numpy as np
@@ -234,7 +235,7 @@ def _pf_eigvals(a, p, ws):
 def solve_pf_rows(a, p, ws, tol, Z0=None):
     """The n roots of sum_j a_j/(z - p_j) = w for every w in ws: (Z, ok).
 
-    polish_pf_rows starts at Z0 (broadcast over the rows) or at the
+    polish_pf_rows starts at Z0 (one row for all, or one per w) or at the
     first-order roots p_j + a_j/w near the poles; a frozen Aberth root is
     already at roundoff.  A row it does not accept, or with two roots within
     CLUSTER_SEP, gets the eigenvalues of _pf_eigvals polished by aberth_rows,

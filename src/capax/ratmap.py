@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .errors import DuplicatePole, PoleHit
+from .errors import DuplicatePole, NonConvergence, PoleHit
 
 POLE_SEP_MIN = 1e-10
 RESIDUE_MIN = 1e-15
@@ -127,8 +127,6 @@ def preimages(R, w, tol=1e-9):
     r = Z[0]
     err = np.abs(evaluate(R, r) - w)
     if err.max() > tol:
-        from .errors import NonConvergence
-
         raise NonConvergence(
             f"preimage residual {err.max():.3e} exceeds {tol:.1e} for w = {w}"
         )

@@ -1,7 +1,5 @@
 """Level-set tracing, quadrature nodes, and exports."""
 
-import types
-
 import numpy as np
 import pytest
 
@@ -181,11 +179,13 @@ def test_svg_export_shape():
 # previous step.  The batched walk in boundary must reproduce it bit for bit.
 
 
-def _seq_match(prev, new):
+def _row_match(prev, new):
+    """One row's nearest-neighbor perm, and whether it is injective and every
+    nearest distance beats the second-nearest by STABILITY_RATIO."""
     D = np.abs(prev[:, None] - new[None, :])
     perm = D.argmin(axis=1)
     if np.unique(perm).size != perm.size:
-        return None
+        return perm, False
     if perm.size > 1:
         rows = np.arange(perm.size)
         d1 = D[rows, perm]
@@ -193,8 +193,13 @@ def _seq_match(prev, new):
         D2[rows, perm] = np.inf
         d2 = D2.min(axis=1)
         if np.any(d2 < boundary.STABILITY_RATIO * d1):
-            return None
-    return perm
+            return perm, False
+    return perm, True
+
+
+def _seq_match(prev, new):
+    perm, ok = _row_match(prev, new)
+    return perm if ok else None
 
 
 # The reference refines a failed step uniformly, 2**depth substeps, an
@@ -254,7 +259,7 @@ def _chain_inputs(R, N, start=0):
     row solver at every node of the uniform t grid of size N, rotated to
     begin at that grid's row start (ts runs on past 2pi and stays
     increasing)."""
-    solver, _ = boundary._row_solver(R)
+    solver = boundary._row_solver(R)
     ts = 2.0 * np.pi * (start + np.arange(N)) / N
     Z, ok = solver(np.exp(1j * ts))
     assert ok.all()
@@ -390,8 +395,8 @@ def test_bisection_stops_at_roundoff(t0):
     assert 0 < len(calls) <= 64
 
 
-# Bank map degree16-0 of pipebench/bank.json: sixteen poles, every block of
-# the anchor-and-fill trace passes at the default N.
+# Bank map degree16-0 of pipebench/bank.json: sixteen poles, every fill row
+# of its trace converges warm at the default N.
 DEGREE16_0 = (
     "(0.038971303878753805+0.00077844453643789475i)/(z-(0.50829346734711445-1.8812284896496094i))"
     "+(0.012465661862757224+0.01012029006818424i)/(z+(0.51821207356101384-1.6579777844243604i))"
@@ -443,38 +448,43 @@ def test_anchor_and_fill_matches_full_grid(R, N, S):
 
 
 @pytest.mark.parametrize("R, N, S", TRACE_GRIDS)
-def test_failed_blocks_fall_back_to_the_full_grid_walk(monkeypatch, R, N, S):
-    # Fill guesses that never converge send every block to the fallback,
-    # which must then reproduce the full-grid walk exactly.
-    def unconverged(a, p, ws, Z, tol):
-        return Z, np.zeros(len(ws), dtype=bool)
+def test_unconverged_fill_rows_go_to_the_eigensolver(monkeypatch, R, N, S):
+    # Warm polishes that never converge send every fill row to the
+    # eigensolver, and the trace still matches the full-grid walk.
+    real_polish = numerics.polish_pf_rows
 
-    fake = types.SimpleNamespace(**vars(numerics))
-    fake.polish_pf_rows = unconverged
-    monkeypatch.setattr(boundary, "numerics", fake)
-    refilled = []
-    real_refill = boundary._refill
+    def unconverged_when_warm(a, p, ws, Z0, tol):
+        Z, ok = real_polish(a, p, ws, Z0, tol)
+        if not np.array_equal(np.broadcast_to(Z0, Z.shape), p + a / ws[:, None]):
+            ok[:] = False
+        return Z, ok
 
-    def counting_refill(Z, ts, a, Zb, solver):
-        refilled.append(a)
-        return real_refill(Z, ts, a, Zb, solver)
+    eigen = []
+    real_eigvals = numerics._pf_eigvals
 
-    monkeypatch.setattr(boundary, "_refill", counting_refill)
+    def counting_eigvals(a, p, ws):
+        eigen.append(len(ws))
+        return real_eigvals(a, p, ws)
+
+    monkeypatch.setattr(numerics, "polish_pf_rows", unconverged_when_warm)
+    monkeypatch.setattr(numerics, "_pf_eigvals", counting_eigvals)
     Z, ref = _trace_and_reference(R(), N)
-    assert refilled == list(range(0, N, S))
-    assert np.array_equal(Z, ref)
+    assert sum(eigen) >= N - N // S
+    assert np.abs(Z - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_refill_must_join_the_next_anchor_in_order():
-    Zraw, ts, solver = _chain_inputs(example_map(1), 512)
-    ref = boundary._order_chain(Zraw, ts, solver)
-    Z = ref.copy()
-    Z[1:8] = 0
-    boundary._refill(Z, ts, 0, Zraw[1:8], solver)
-    assert np.array_equal(Z, ref)
-    Z[8] = Z[8][::-1]  # an anchor chain that swapped the two curves
-    with pytest.raises(TrackingAmbiguity, match="anchor chain's order"):
-        boundary._refill(Z, ts, 0, Zraw[1:8], solver)
+def test_walk_that_comes_back_permuted_is_rejected():
+    # The roots +-e^{it/2} swap over one turn: every hop matches stably, so
+    # nothing is solved, and the closing hop lands on the first row permuted.
+    N = 64
+    ts = 2.0 * np.pi * np.arange(N) / N
+    h = np.exp(0.5j * ts)
+
+    def solver(ws, Z0=None):
+        raise AssertionError("every hop matches stably; nothing needs a solve")
+
+    with pytest.raises(ComponentCountMismatch, match="permuted"):
+        boundary._order_chain(np.stack([h, -h], axis=1), ts, solver)
 
 
 def test_trace_solves_only_the_anchors(monkeypatch):
@@ -538,41 +548,37 @@ def test_compose_matches_prefix_loop(M, n):
     assert np.array_equal(boundary._compose(P), expect)
 
 
+# (prev, new, expected perm or None when the row must be rejected)
+MATCH_TABLE = [
+    ([0, 1], [1.01, 0.01], [1, 0]),  # clean swap
+    ([0, 0.1], [0.04, 5], None),  # both nearest new[0]: not injective
+    ([0, 1j], [0.02, 1.01j], [0, 1]),  # clean identity
+    ([0, 3], [-1, 1.5], None),  # second-nearest 1.5 < 2 x nearest 1
+    ([2, -2], [-2.1, 2.1], [1, 0]),  # clean swap
+]
+
+
+def _table_hops():
+    prev = np.array([r[0] for r in MATCH_TABLE], dtype=np.complex128)
+    return prev, np.array([r[1] for r in MATCH_TABLE], dtype=np.complex128)
+
+
 def test_match_rows_rejects_only_the_bad_rows():
-    rows = [
-        ([0, 1], [1.01, 0.01], [1, 0]),  # clean swap
-        ([0, 0.1], [0.04, 5], None),  # both nearest new[0]: not injective
-        ([0, 1j], [0.02, 1.01j], [0, 1]),  # clean identity
-        ([0, 3], [-1, 1.5], None),  # second-nearest 1.5 < 2 x nearest 1
-        ([2, -2], [-2.1, 2.1], [1, 0]),  # clean swap
-    ]
-    prev = np.array([r[0] for r in rows], dtype=np.complex128)
-    new = np.array([r[1] for r in rows], dtype=np.complex128)
-    perm, ok = boundary._match_rows(prev, new)
-    assert ok.tolist() == [r[2] is not None for r in rows]
-    for m, (_, _, expect) in enumerate(rows):
+    perm, ok = boundary._match_rows(*_table_hops())
+    assert ok.tolist() == [r[2] is not None for r in MATCH_TABLE]
+    for m, (_, _, expect) in enumerate(MATCH_TABLE):
         if expect is not None:
             assert perm[m].tolist() == expect
 
 
-@pytest.mark.parametrize("R", TRACE_MAPS)
-def test_identity_hops_decide_like_match_rows(monkeypatch, R):
-    # _fill's direct identity-hop test against the general matcher it
-    # replaces, on the very rows _fill hands it
-    seen = []
-    real_hops = boundary._identity_hops
-
-    def recording(Z):
-        # _fill ANDs the returned array in place: record a copy
-        good = real_hops(Z)
-        seen.append((Z.copy(), good.copy()))
-        return good
-
-    monkeypatch.setattr(boundary, "_identity_hops", recording)
-    boundary.trace(R(), N=boundary.DEFAULT_N)
-    ((Z, good),) = seen
-    perm, stable = boundary._match_rows(Z, np.roll(Z, -1, axis=0))
-    expect = stable & (perm == np.arange(Z.shape[1])).all(axis=1)
-    assert np.array_equal(good, expect)
-    S = boundary._ANCHOR_STRIDE
-    assert np.array_equal(good.reshape(-1, S).all(axis=1), expect.reshape(-1, S).all(axis=1))
+@pytest.mark.parametrize("R", [*TRACE_MAPS, pytest.param(None, id="table")])
+def test_match_rows_decides_like_a_row_loop(R):
+    if R is None:
+        prev, new = _table_hops()
+    else:  # every hop of the raw cold rows at the default N, closing one too
+        prev = _chain_inputs(R(), boundary.DEFAULT_N)[0]
+        new = np.roll(prev, -1, axis=0)
+    perm, ok = boundary._match_rows(prev, new)
+    expect = [_row_match(a, b) for a, b in zip(prev, new)]
+    assert np.array_equal(perm, [e[0] for e in expect])
+    assert ok.tolist() == [e[1] for e in expect]

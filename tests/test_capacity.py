@@ -409,7 +409,9 @@ def test_traced_poles_are_not_wound_again(monkeypatch):
         calls.append(len(points))
         return windings(z_curve, points)
 
+    # capacity imports _windings by name: count its calls there too
     monkeypatch.setattr(boundary, "_windings", counting)
+    monkeypatch.setattr(capacity, "_windings", counting)
     capacity.bounds_sequence(parse_map(DEGREE16_0), 4)
     # trace winds each of its 16 curves about the 16 poles; assemble_gram
     # winds none of them again

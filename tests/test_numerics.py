@@ -226,9 +226,9 @@ def test_aberth_returns_the_exact_start_of_a_disk_map(monkeypatch):
 ])
 @pytest.mark.parametrize("force", ["budget", "coincident"])
 def test_unsettled_rows_go_to_the_eigensolver(monkeypatch, R, N, force):
-    # budget: no row freezes, so every solved row goes to the eigensolver
-    # (and every fill block with it); coincident: only the cold starts are
-    # spoiled, since the fill and the eigenvalues warm-start aberth_rows too
+    # budget: no row freezes, so every row goes to the eigensolver, the cold
+    # anchors and the warm fill rows alike; coincident: only the cold starts
+    # are spoiled, since the fill and the eigenvalues warm-start aberth_rows
     R = R()
     expect = np.stack([c.z for c in boundary.trace(R, N=N).curves])
     cold_rows = []
@@ -246,9 +246,9 @@ def test_unsettled_rows_go_to_the_eigensolver(monkeypatch, R, N, force):
         monkeypatch.setattr(numerics, "_ABERTH_ITERS", 1)
     fallback = _counting_eigensolve(monkeypatch)
     got = np.stack([c.z for c in boundary.trace(R, N=N).curves])
-    assert sum(cold_rows) > 0 and sum(fallback) == sum(cold_rows)
-    if force == "budget":
-        assert sum(cold_rows) == N  # every fill block was solved cold
+    anchors = N // min(boundary._ANCHOR_STRIDE, N // 64)
+    assert sum(cold_rows) == anchors
+    assert sum(fallback) == (N if force == "budget" else anchors)
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -256,7 +256,7 @@ def test_unsettled_rows_go_to_the_eigensolver(monkeypatch, R, N, force):
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_aberth_rows_do_not_depend_on_the_batch(R, warm):
     # 4096 rows make arrays above numpy's 256 KiB temporary-elision size
-    solver, _ = boundary._row_solver(R())
+    solver = boundary._row_solver(R())
     ws = np.exp(2j * np.pi * np.arange(4096) / 4096)
     Z0 = solver(ws[:1])[0][0] if warm else None
     Z, ok = solver(ws, Z0)
