@@ -100,11 +100,12 @@ def _match_rows(prev, new):
     reordering prev[m] only reorders perm[m].
     """
     # roots-major (n, n, M): D[j, i, m] = |new[m, j] - prev[m, i]|, so the
-    # argmin, sort and min over j run over leading axes
+    # argmin, scatter and min over j run over leading axes
     D = np.abs(np.ascontiguousarray(new.T)[:, None, :] - np.ascontiguousarray(prev.T))
     perm = D.argmin(axis=0)
-    s = np.sort(perm, axis=0)
-    ok = (s[1:] != s[:-1]).all(axis=0)
+    hit = np.zeros(perm.shape, dtype=bool)
+    np.put_along_axis(hit, perm, True, axis=0)
+    ok = hit.all(axis=0)
     if len(perm) > 1:
         d1 = np.take_along_axis(D, perm[None], axis=0)[0]
         np.put_along_axis(D, perm[None], np.inf, axis=0)
@@ -168,7 +169,9 @@ def _order_chain(Z, ts, solver):
     """
     W = np.roll(Z, -1, axis=0)
     tw = np.append(ts[1:], ts[0] + 2.0 * np.pi)
-    perm, ok = _match_rows(Z, W)
+    perm, ok = np.empty(Z.shape, dtype=np.intp), np.empty(len(Z), dtype=bool)
+    for b in numerics._row_blocks(*Z.shape):
+        perm[b], ok[b] = _match_rows(Z[b], W[b])
     for i in np.flatnonzero(~ok):
         perm[i] = _refine_gap(Z[i], ts[i], tw[i], W[i], solver)
     C = _compose(perm)
@@ -191,15 +194,16 @@ def _solve_grid(solver, ts, Z0=None):
 
 
 def _windings(z_curve, points):
-    """Discrete winding numbers of a closed node loop about each point."""
-    v = z_curve[:, None] - np.asarray(points)[None, :]
-    ang = np.angle(np.roll(v, -1, axis=0) / v).sum(axis=0) / (2.0 * np.pi)
-    w = np.rint(ang)
-    if np.abs(ang - w).max() > 0.01:
-        raise ComponentCountMismatch(
-            "winding numbers did not settle near integers; sampling too coarse"
-        )
-    return w.astype(np.int64)
+    """Winding numbers of the closed polygon through the nodes z_curve about
+    each of points: the signed crossings of the ray to the right of each
+    point, an edge counting when it goes up through the ray's line with the
+    point on its left, or down with the point on its right."""
+    a = z_curve[:, None] - np.asarray(points)
+    b = np.roll(a, -1, axis=0)
+    left = a.real * b.imag - a.imag * b.real  # > 0: the point is left of a -> b
+    up = (a.imag <= 0) & (b.imag > 0) & (left > 0)
+    down = (a.imag > 0) & (b.imag <= 0) & (left < 0)
+    return up.sum(axis=0) - down.sum(axis=0)
 
 
 def trace(R, N=None, check_good=True):
@@ -267,15 +271,16 @@ def _trace(R, N):
     Z = _order_chain(Z, ts, solver)
 
     # R = sum a/(z - p) and |R'| = |sum a/(z - p)^2| from one pole-distance
-    # tensor; no pole-proximity guard (nodes stay away from poles)
-    inv = 1.0 / (Z[..., None] - R.poles)
-    resid = np.abs(np.abs(inv @ R.residues) - 1.0).max()
+    # tensor per row block; no pole-proximity guard (nodes stay away from poles)
+    speed, resid = np.empty(Z.shape), 0.0
+    for b in numerics._row_blocks(N, n):
+        inv = 1.0 / (Z[b, :, None] - R.poles)
+        resid = max(resid, np.abs(np.abs(inv @ R.residues) - 1.0).max())
+        speed[b] = 1.0 / np.abs(np.square(inv, out=inv) @ R.residues)
     if resid > NODE_RESIDUAL_TOL:
         raise NonConvergence(
             f"node residual {resid:.3e} exceeds {NODE_RESIDUAL_TOL:.1e}"
         )
-
-    speed = 1.0 / np.abs(np.square(inv, out=inv) @ R.residues)
     curves = []
     for c in range(n):
         w = _windings(Z[:, c], R.poles)

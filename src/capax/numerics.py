@@ -4,13 +4,14 @@ The roots of R(z) = w for R = sum_j a_j/(z - p_j) and a batch of w, as trace
 needs them, never see a polynomial: solve_pf_rows runs a batched Aberth
 iteration on the partial fractions (aberth_rows), O(n) per root and step,
 and falls back to one batched eigensolve of diag(p) + a 1^T/w.  Every
-accepted row passes one residual check (pf_rows_ok).
+accepted row passes one residual check (pf_rows_ok).  It takes its rows in
+blocks of _row_blocks, as trace's other per-row passes over n x n tensors do.
 
 The polynomial helpers serve only roots and ratmap.critical_data.
 Polynomials are plain complex128 ndarrays in ascending coefficient order,
 c[0] + c[1] z + ... + c[d] z^d, kept trimmed so the leading coefficient of a
 nonzero polynomial is nonzero; everything here accepts any sequence and
-returns trimmed arrays.  Roots of one polynomial (roots) come from
+returns trimmed arrays.  The roots of one polynomial (roots) come from
 companion-matrix eigenvalues, which are backward stable (Edelman & Murakami,
 Math. Comp. 64, 1995), followed by Newton polishing.
 """
@@ -30,9 +31,17 @@ CLUSTER_SEP = 1e-8
 _ABERTH_STEP_REL = 1e-13
 _ABERTH_ITERS = 12
 
-# polish_pf_rows takes its rows in blocks of about this many (pole, root, row)
-# entries: its (n, n, rows) tensors then stay in cache and memory stays flat
+# per-row passes over n x n tensors (solve_pf_rows, and trace's hop matching
+# and node pass) take their rows in blocks of about this many (pole, root,
+# row) entries: the (n, n, rows) tensors then stay in cache and memory stays
+# flat in the number of rows
 _BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(M, n):
+    """Slices of about _BLOCK_ENTRIES / n^2 rows that cover M rows."""
+    rows = max(1, _BLOCK_ENTRIES // n**2)
+    return [slice(s, s + rows) for s in range(0, M, rows)]
 
 
 def as_poly(c):
@@ -57,19 +66,6 @@ def poly_degree(c):
     if p.size == 1 and p[0] == 0:
         return -1  # zero polynomial
     return p.size - 1
-
-
-def poly_add(a, b):
-    pa, pb = as_poly(a), as_poly(b)
-    if pa.size < pb.size:
-        pa, pb = pb, pa
-    out = pa.copy()
-    out[: pb.size] += pb
-    return poly_trim(out)
-
-
-def poly_scale(a, s):
-    return poly_trim(as_poly(a) * np.complex128(s))
 
 
 def poly_from_roots(roots):
@@ -104,43 +100,31 @@ def residual_ok(c, r, tol):
     return np.abs(poly_eval(p, r)) <= bound
 
 
-def _eval_rows(C, Z):
-    """Horner on row-wise coefficients. C: (M, d+1), Z: (M, n) -> p, dp."""
-    p = np.zeros_like(Z)
-    dp = np.zeros_like(Z)
-    for k in range(C.shape[1] - 1, -1, -1):
-        dp *= Z
+def _eval(c, z):
+    """Horner for p and p' at the points z, in place."""
+    p = np.zeros_like(z)
+    dp = np.zeros_like(z)
+    for k in range(c.size - 1, -1, -1):
+        dp *= z
         dp += p
-        p *= Z
-        p += C[:, k : k + 1]
+        p *= z
+        p += c[k]
     return p, dp
 
 
-def _polish_rows(C, Z, iters=3):
-    """Newton-polish each root of each row, keeping a step only when the
-    residual actually drops.  Returns (Z, p) with p the row values at Z."""
-    p, dp = _eval_rows(C, Z)
+def _polish(c, z, iters=3):
+    """Newton-polish each root z of c, keeping a step only when the residual
+    actually drops."""
+    p, dp = _eval(c, z)
     for _ in range(iters):
         dps = np.where(dp == 0, 1.0, dp)
-        Zn = Z - p / dps
-        pn, dpn = _eval_rows(C, Zn)
+        zn = z - p / dps
+        pn, dpn = _eval(c, zn)
         better = np.abs(pn) < np.abs(p)
-        Z = np.where(better, Zn, Z)
+        z = np.where(better, zn, z)
         p = np.where(better, pn, p)
         dp = np.where(better, dpn, dp)
-    return Z, p
-
-
-def _companion_rows(C):
-    """Companion matrices for monic rows C (M, n+1) with C[:, n] == 1."""
-    M = C.shape[0]
-    n = C.shape[1] - 1
-    A = np.zeros((M, n, n), np.complex128)
-    if n > 1:
-        i = np.arange(n - 1)
-        A[:, i + 1, i] = 1.0
-    A[:, :, n - 1] = -C[:, :n]
-    return A
+    return z
 
 
 def aberth_rows(a, p, ws, Z0):
@@ -209,21 +193,6 @@ def pf_rows_ok(a, p, ws, Z, tol):
         return (np.abs(t.sum(axis=0) - ws) / np.abs(t).sum(axis=0) <= tol).all(axis=0)
 
 
-def polish_pf_rows(a, p, ws, Z0, tol):
-    """aberth_rows from the guesses Z0 (len(ws), n), in blocks of rows.
-    Returns (Z, ok), ok[r] true when Aberth froze row r and it passes
-    pf_rows_ok.  Roots that drifted onto one root can pass; callers that
-    need distinct roots check that themselves."""
-    Z0 = np.broadcast_to(Z0, (len(ws), p.size))
-    Z, ok = np.empty(Z0.shape, dtype=np.complex128), np.empty(len(ws), dtype=bool)
-    rows = max(1, _BLOCK_ENTRIES // p.size**2)
-    for s in range(0, len(ws), rows):
-        b = slice(s, s + rows)
-        Z[b], done = aberth_rows(a, p, ws[b], Z0[b])
-        ok[b] = done & pf_rows_ok(a, p, ws[b], Z[b], tol)
-    return Z, ok
-
-
 def _pf_eigvals(a, p, ws):
     """The roots of sum_j a_j/(z - p_j) = w for every w in ws, as the
     eigenvalues of diag(p) + a 1^T / w in one batched LAPACK call:
@@ -235,21 +204,27 @@ def _pf_eigvals(a, p, ws):
 def solve_pf_rows(a, p, ws, tol, Z0=None):
     """The n roots of sum_j a_j/(z - p_j) = w for every w in ws: (Z, ok).
 
-    polish_pf_rows starts at Z0 (one row for all, or one per w) or at the
+    aberth_rows starts at Z0 (one row for all, or one per w) or at the
     first-order roots p_j + a_j/w near the poles; a frozen Aberth root is
-    already at roundoff.  A row it does not accept, or with two roots within
-    CLUSTER_SEP, gets the eigenvalues of _pf_eigvals polished by aberth_rows,
-    and passes on pf_rows_ok alone: near-double roots never freeze.  Each
-    row is solved independently of the others.
+    already at roundoff.  A row that does not freeze, fails pf_rows_ok, or
+    has two roots within CLUSTER_SEP gets the eigenvalues of _pf_eigvals
+    polished by aberth_rows, and passes on pf_rows_ok alone: near-double
+    roots never freeze.  Rows go through all of this in blocks of
+    _row_blocks, and each row is solved independently of the others.
     """
-    Z, ok = polish_pf_rows(a, p, ws, p + a / ws[:, None] if Z0 is None else Z0, tol)
-    gap = np.abs(Z[:, :, None] - Z[:, None, :])
-    gap[:, np.arange(p.size), np.arange(p.size)] = np.inf
-    redo = np.flatnonzero(~(ok & (gap.min(axis=(1, 2)) >= CLUSTER_SEP)))
-    if redo.size:
-        w = ws[redo]
-        Z[redo] = aberth_rows(a, p, w, _pf_eigvals(a, p, w))[0]
-        ok[redo] = pf_rows_ok(a, p, w, Z[redo], tol)
+    Z0 = np.broadcast_to(p + a / ws[:, None] if Z0 is None else Z0, (len(ws), p.size))
+    Z, ok = np.empty(Z0.shape, dtype=np.complex128), np.empty(len(ws), dtype=bool)
+    i, j = np.triu_indices(p.size, 1)
+    for b in _row_blocks(len(ws), p.size):
+        w = ws[b]
+        Zb, done = aberth_rows(a, p, w, Z0[b])
+        okb = done & pf_rows_ok(a, p, w, Zb, tol)
+        okb &= (np.abs(Zb[:, i] - Zb[:, j]) >= CLUSTER_SEP).all(axis=1)
+        redo = np.flatnonzero(~okb)
+        if redo.size:
+            Zb[redo] = aberth_rows(a, p, w[redo], _pf_eigvals(a, p, w[redo]))[0]
+            okb[redo] = pf_rows_ok(a, p, w[redo], Zb[redo], tol)
+        Z[b], ok[b] = Zb, okb
     return Z, ok
 
 
@@ -268,8 +243,10 @@ def roots(c, tol=DEFAULT_ROOT_TOL):
         raise ValueError("root finding needs degree >= 1")
     if not np.all(np.isfinite(p)):
         raise ValueError("polynomial coefficients must be finite")
-    cm = (p / p[-1])[None, :]
-    r = _polish_rows(cm, np.linalg.eigvals(_companion_rows(cm)))[0][0]
+    c = p / p[-1]
+    A = np.diag(np.ones(d - 1, dtype=np.complex128), -1)  # the companion matrix
+    A[:, -1] = -c[:-1]
+    r = _polish(c, np.linalg.eigvals(A))
     bad = ~residual_ok(p, r, tol)
     if np.any(bad):
         worst = np.abs(poly_eval(p, r[bad])).max()

@@ -10,6 +10,7 @@ live here.  Only the critical points expand R into polynomial coefficients.
 import enum
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,11 @@ class RationalMapPF:
         return preimages(self, w)
 
     def critical_data(self):
+        return self._critical_data
+
+    @cached_property
+    def _critical_data(self):
+        # a map is immutable, so one solve serves every classification of it
         return critical_data(self)
 
     def affine_conjugate(self, a, b):
@@ -143,12 +149,11 @@ class CriticalData:
 
 def critical_numerator(R):
     """N(z) = -sum_j a_j prod_{k != j} (z - p_k)^2, so that R' = N / Q^2."""
-    N = np.zeros(1, dtype=np.complex128)
+    N = np.zeros(2 * R.n - 1, dtype=np.complex128)
     for j in range(R.n):
         others = np.delete(R.poles, j)
-        w = numerics.poly_from_roots(np.concatenate([others, others]))
-        N = numerics.poly_add(N, numerics.poly_scale(w, -R.residues[j]))
-    return N
+        N += numerics.poly_from_roots(np.concatenate([others, others])) * -R.residues[j]
+    return numerics.poly_trim(N)
 
 
 def critical_data(R):
@@ -198,7 +203,7 @@ def is_n_good(R, delta=1e-9):
     """
     if not (0 < delta <= 0.1):
         raise ValueError("delta must lie in (0, 0.1]")
-    data = critical_data(R)
+    data = R.critical_data()
     margin = 1.0 - data.max_cv_modulus
     if margin > delta:
         status = Goodness.GOOD

@@ -1,5 +1,7 @@
 """Level-set tracing, quadrature nodes, and exports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -449,15 +451,15 @@ def test_anchor_and_fill_matches_full_grid(R, N, S):
 
 @pytest.mark.parametrize("R, N, S", TRACE_GRIDS)
 def test_unconverged_fill_rows_go_to_the_eigensolver(monkeypatch, R, N, S):
-    # Warm polishes that never converge send every fill row to the
+    # Warm Aberth runs that never converge send every fill row to the
     # eigensolver, and the trace still matches the full-grid walk.
-    real_polish = numerics.polish_pf_rows
+    real_aberth = numerics.aberth_rows
 
-    def unconverged_when_warm(a, p, ws, Z0, tol):
-        Z, ok = real_polish(a, p, ws, Z0, tol)
+    def unconverged_when_warm(a, p, ws, Z0):
+        Z, done = real_aberth(a, p, ws, Z0)
         if not np.array_equal(np.broadcast_to(Z0, Z.shape), p + a / ws[:, None]):
-            ok[:] = False
-        return Z, ok
+            done[:] = False
+        return Z, done
 
     eigen = []
     real_eigvals = numerics._pf_eigvals
@@ -466,7 +468,7 @@ def test_unconverged_fill_rows_go_to_the_eigensolver(monkeypatch, R, N, S):
         eigen.append(len(ws))
         return real_eigvals(a, p, ws)
 
-    monkeypatch.setattr(numerics, "polish_pf_rows", unconverged_when_warm)
+    monkeypatch.setattr(numerics, "aberth_rows", unconverged_when_warm)
     monkeypatch.setattr(numerics, "_pf_eigvals", counting_eigvals)
     Z, ref = _trace_and_reference(R(), N)
     assert sum(eigen) >= N - N // S
@@ -520,7 +522,7 @@ def test_trace_rows_use_only_the_partial_fractions(monkeypatch, R):
     def forbidden(*args):
         raise AssertionError("trace's rows must not expand R into polynomials")
 
-    for name in ("_companion_rows", "_eval_rows", "poly_from_roots"):
+    for name in ("_eval", "_polish", "poly_from_roots"):
         monkeypatch.setattr(numerics, name, forbidden)
     assert len(boundary._trace(R, N).curves) == R.n
 
@@ -533,6 +535,30 @@ def test_trace_seeds_from_the_first_anchor(monkeypatch, R):
     monkeypatch.setattr(ratmap, "preimages", no_preimages)
     sampling = boundary.trace(R())
     assert len(sampling.curves) == R().n
+
+
+def test_windings_count_signed_crossings():
+    # the rays to the right of 0, -2 and 2 run through vertices of the diamond
+    diamond = np.array([1, 1j, -1, -1j])
+    points = [0j, -2 + 0j, 2 + 0j, 0.5j, 3 + 3j]
+    expect = [1, 0, 0, 1, 0]
+    assert boundary._windings(diamond, points).tolist() == expect
+    assert boundary._windings(diamond[::-1], np.array(points)).tolist() == [-e for e in expect]
+    assert boundary._windings(np.tile(diamond, 2), points).tolist() == [2 * e for e in expect]
+
+
+def test_trace_memory_stays_flat_in_the_rows():
+    # n = 64: one (N, n, n) complex tensor alone is 16.8 MB at N = 256, so
+    # the per-node passes must run in row blocks
+    n = 64
+    R = RationalMapPF(np.full(n, 0.3 / n), -2.0 + 4.0 * np.arange(n) / n)
+    tracemalloc.start()
+    try:
+        boundary.trace(R, N=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("M", [1, 2, 7, 4096])

@@ -189,6 +189,21 @@ def test_verdict_on_a_seven_pole_map_at_the_default_n(capsys):
     assert "bracket: k=3" in capsys.readouterr().out
 
 
+def test_verdict_classifies_the_map_once(monkeypatch, capsys):
+    # the goodness check and trace's choice of N share one critical-point solve
+    calls = []
+    real = capax.numerics.roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(capax.numerics, "roots", counting)
+    assert main(["verdict", "--map", GOOD_TEXT]) == 0
+    assert "goodness: good" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_config_file_with_map_section(tmp_path, capsys):
     cfgp = tmp_path / "job.cfg"
     cfgp.write_text(

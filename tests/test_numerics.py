@@ -19,12 +19,6 @@ def test_poly_trim_drops_leading_zeros():
     assert numerics.poly_degree([0.0, 0.0]) == -1
 
 
-def test_poly_arithmetic():
-    s = numerics.poly_add([1, 2], [3, -2, 0])
-    assert s.tolist() == [4.0 + 0j]
-    assert numerics.poly_scale([1, 2], 3).tolist() == [3.0 + 0j, 6.0 + 0j]
-
-
 def test_poly_from_roots_and_eval():
     c = numerics.poly_from_roots([1.0, -1.0])
     assert np.allclose(c, [-1, 0, 1])
@@ -111,22 +105,23 @@ def test_residual_contract_on_returned_roots():
     assert np.all(numerics.residual_ok(c, r, numerics.DEFAULT_ROOT_TOL))
 
 
-def _allocating_eval_rows(C, Z):
-    p = np.zeros_like(Z)
-    dp = np.zeros_like(Z)
-    for k in range(C.shape[1] - 1, -1, -1):
-        dp = dp * Z + p
-        p = p * Z + C[:, k : k + 1]
+def _allocating_eval(c, z):
+    p = np.zeros_like(z)
+    dp = np.zeros_like(z)
+    for k in range(c.size - 1, -1, -1):
+        dp = dp * z + p
+        p = p * z + c[k]
     return p, dp
 
 
 @pytest.mark.parametrize("M, n", [(3584, 16), (4096, 3), (1, 1)])
 def test_in_place_horner_is_bit_identical(M, n):
+    # M points of one degree-n polynomial
     rng = np.random.default_rng(M + n)
-    C = rng.normal(size=(M, n + 1)) + 1j * rng.normal(size=(M, n + 1))
-    Z = rng.normal(size=(M, n)) + 1j * rng.normal(size=(M, n))
-    p, dp = numerics._eval_rows(C, Z)
-    p_ref, dp_ref = _allocating_eval_rows(C, Z)
+    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    z = rng.normal(size=M) + 1j * rng.normal(size=M)
+    p, dp = numerics._eval(c, z)
+    p_ref, dp_ref = _allocating_eval(c, z)
     assert np.array_equal(p, p_ref) and np.array_equal(dp, dp_ref)
 
 
@@ -152,8 +147,8 @@ def test_polish_rows_ok_matches_a_fresh_residual_check():
     ok = numerics.pf_rows_ok(a, p, ws, guess, tol)
     assert ok.any() and not ok.all()
     assert np.array_equal(ok, fresh(guess))
-    # the warm Aberth polish brings every row back, and its ok is the check
-    Zp, ok = numerics.polish_pf_rows(a, p, ws, guess, tol)
+    # the warm solve brings every row back, and its ok is the check
+    Zp, ok = numerics.solve_pf_rows(a, p, ws, tol, guess)
     assert ok.all() and np.array_equal(ok, fresh(Zp))
 
 
@@ -218,6 +213,31 @@ def test_aberth_returns_the_exact_start_of_a_disk_map(monkeypatch):
     Z, ok = numerics.solve_pf_rows(a, p, ws, numerics.DEFAULT_ROOT_TOL)
     assert ok.all() and fallback == []
     assert np.abs(Z - start).max() <= 1e-15
+
+
+def test_row_blocks_do_not_change_the_rows(monkeypatch):
+    # 64 rows in one block and in blocks of 5, with row 37 forced to the
+    # eigensolver
+    R = parse_map(DEGREE16_0)
+    a, p, tol = R.residues, R.poles, numerics.DEFAULT_ROOT_TOL
+    ws = np.exp(2j * np.pi * np.arange(64) / 64)
+    calls = []
+    real = numerics.aberth_rows
+
+    def forced(a, p, w, Z0):
+        calls.append(len(w))
+        Z, done = real(a, p, w, Z0)
+        done[w == ws[37]] = False
+        return Z, done
+
+    monkeypatch.setattr(numerics, "aberth_rows", forced)
+    fallback = _counting_eigensolve(monkeypatch)
+    Z, ok = numerics.solve_pf_rows(a, p, ws, tol)
+    assert calls == [64, 1] and fallback == [1] and ok.all()
+    monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 5 * p.size**2)
+    Zb, okb = numerics.solve_pf_rows(a, p, ws, tol)
+    assert len(calls) == 2 + 13 + 1 and fallback == [1, 1]
+    assert np.array_equal(okb, ok) and Zb.tobytes() == Z.tobytes()
 
 
 @pytest.mark.parametrize("R, N", [
