@@ -29,6 +29,7 @@ from .closedform import rotational_map
 from .errors import (
     CapaxError,
     ComponentCountMismatch,
+    DuplicatePole,
     IllConditioned,
     InvalidMap,
     NonConvergence,
@@ -488,7 +489,7 @@ def main(argv=None):
             return _run_repro(args)
         cfg = _config_from_args(args)
         return run(cfg, args.command)
-    except (ParseError, InvalidMap, ValueError, OSError) as exc:
+    except (ParseError, InvalidMap, DuplicatePole, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (

@@ -7,13 +7,16 @@ and falls back to one batched eigensolve of diag(p) + a 1^T/w.  Every
 accepted row passes one residual check (pf_rows_ok).  It takes its rows in
 blocks of _row_blocks, as trace's other per-row passes over n x n tensors do.
 
-The polynomial helpers serve only roots and ratmap.critical_data.
-Polynomials are plain complex128 ndarrays in ascending coefficient order,
-c[0] + c[1] z + ... + c[d] z^d, kept trimmed so the leading coefficient of a
-nonzero polynomial is nonzero; everything here accepts any sequence and
-returns trimmed arrays.  The roots of one polynomial (roots) come from
-companion-matrix eigenvalues, which are backward stable (Edelman & Murakami,
-Math. Comp. 64, 1995), followed by Newton polishing.
+The polynomial helpers serve only ratmap.critical_data: it builds the
+critical numerator with poly_from_roots, trims it with poly_trim, and finds
+its roots with roots.  Polynomials are plain complex128 ndarrays in ascending
+coefficient order, c[0] + c[1] z + ... + c[d] z^d; poly_trim accepts any
+one-dimensional sequence and returns a copy whose leading coefficient is
+nonzero (or that is one zero), so its degree is its size - 1.  The roots of
+one polynomial (roots) come from companion-matrix eigenvalues, which are
+backward stable (Edelman & Murakami, Math. Comp. 64, 1995), then Newton
+polishing; _eval, the one Horner for p and p', serves both the polishing
+and the residual check.
 """
 
 import numpy as np
@@ -44,28 +47,16 @@ def _row_blocks(M, n):
     return [slice(s, s + rows) for s in range(0, M, rows)]
 
 
-def as_poly(c):
+def poly_trim(c, rel=0.0):
+    """Drop trailing coefficients that are zero (or below rel * max|c|)."""
     p = np.atleast_1d(np.asarray(c, dtype=np.complex128))
     if p.ndim != 1:
         raise ValueError("polynomial coefficients must be one-dimensional")
-    return p
-
-
-def poly_trim(c, rel=0.0):
-    """Drop trailing coefficients that are zero (or below rel * max|c|)."""
-    p = as_poly(c)
     thresh = rel * np.abs(p).max() if p.size else 0.0
     d = p.size - 1
     while d > 0 and abs(p[d]) <= thresh:
         d -= 1
     return p[: d + 1].copy()
-
-
-def poly_degree(c):
-    p = poly_trim(c)
-    if p.size == 1 and p[0] == 0:
-        return -1  # zero polynomial
-    return p.size - 1
 
 
 def poly_from_roots(roots):
@@ -74,30 +65,6 @@ def poly_from_roots(roots):
     for r in np.asarray(roots, dtype=np.complex128).ravel():
         c = np.convolve(c, np.array([-r, 1.0 + 0j]))
     return c
-
-
-def poly_eval(c, z):
-    """Horner evaluation; z may be a scalar or an ndarray."""
-    p = as_poly(c)
-    zz = np.asarray(z, dtype=np.complex128)
-    out = np.full_like(zz, p[-1])
-    for k in range(p.size - 2, -1, -1):
-        out = out * zz + p[k]
-    if np.isscalar(z) or zz.ndim == 0:
-        return complex(out)
-    return out
-
-
-def residual_bound(cabs_max, z, degree, tol):
-    """Documented acceptance bound tol*(1+max|c|)*(1+|z|)^degree."""
-    return tol * (1.0 + cabs_max) * (1.0 + np.abs(z)) ** degree
-
-
-def residual_ok(c, r, tol):
-    """Backward-style acceptance: |p(r)| <= tol*(1+max|c|)*(1+|r|)^deg."""
-    p = as_poly(c)
-    bound = residual_bound(np.abs(p).max(), r, p.size - 1, tol)
-    return np.abs(poly_eval(p, r)) <= bound
 
 
 def _eval(c, z):
@@ -235,10 +202,11 @@ def roots(c, tol=DEFAULT_ROOT_TOL):
     Multiple or clustered roots come back as nearly repeated values; no
     deflation is attempted below a separation of CLUSTER_SEP.
 
-    Raises NonConvergence when any root misses the documented residual bound.
+    Raises NonConvergence when any root r misses the documented residual
+    bound |p(r)| <= tol * (1 + max|p|) * (1 + |r|)^deg.
     """
     p = poly_trim(c)
-    d = poly_degree(p)
+    d = p.size - 1
     if d < 1:
         raise ValueError("root finding needs degree >= 1")
     if not np.all(np.isfinite(p)):
@@ -247,11 +215,11 @@ def roots(c, tol=DEFAULT_ROOT_TOL):
     A = np.diag(np.ones(d - 1, dtype=np.complex128), -1)  # the companion matrix
     A[:, -1] = -c[:-1]
     r = _polish(c, np.linalg.eigvals(A))
-    bad = ~residual_ok(p, r, tol)
+    res = np.abs(_eval(p, r)[0])
+    bad = ~(res <= tol * (1.0 + np.abs(p).max()) * (1.0 + np.abs(r)) ** d)  # NaN is a miss
     if np.any(bad):
-        worst = np.abs(poly_eval(p, r[bad])).max()
         raise NonConvergence(
             f"{int(bad.sum())} of {d} roots missed the residual bound "
-            f"(worst |p(r)| = {worst:.3e}, tol = {tol:.1e})"
+            f"(worst |p(r)| = {res[bad].max():.3e}, tol = {tol:.1e})"
         )
     return r

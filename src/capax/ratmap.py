@@ -165,7 +165,7 @@ def critical_data(R):
     """
     full_deg = 2 * R.n - 2
     N = numerics.poly_trim(critical_numerator(R), rel=_TRIM_REL)
-    deg = numerics.poly_degree(N)
+    deg = N.size - 1
     if deg < 1:
         cps = np.empty(0, dtype=np.complex128)
     else:

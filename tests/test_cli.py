@@ -237,6 +237,16 @@ def test_config_rejects_garbage(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_duplicate_pole_is_bad_input(tmp_path, capsys):
+    # the same map through --map is an InvalidMap; both are bad input
+    cfgp = tmp_path / "job.cfg"
+    cfgp.write_text("kmax = 2\n[map]\nterm = 0.3 0 / 1 0\nterm = 0.2 0 / 1 0\n")
+    assert main(["bounds", "--config", str(cfgp)]) == 2
+    assert "coincide" in capsys.readouterr().err
+    assert main(["bounds", "--map", "0.3/(z-1)+0.2/(z-1)"]) == 2
+    capsys.readouterr()
+
+
 def test_repro_reference_agreement(tmp_path, capsys):
     out = tmp_path / "repro.csv"
     assert main(["repro", "1", "--out", str(out)]) == 0
