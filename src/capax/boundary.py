@@ -206,14 +206,13 @@ def _windings(z_curve, points):
     return up.sum(axis=0) - down.sum(axis=0)
 
 
-def trace(R, N=None, check_good=True):
+def trace(R, N=None):
     """Sample all boundary curves of {|R| >= 1} on a uniform t grid of size N.
 
     An explicit N must be a power of two, 64 <= N <= 65536, and is used as
     given.  N=None uses start_n of the map's largest critical-value modulus.
-    The map must classify as GOOD (skippable with check_good=False for
-    diagnostic runs on bad maps, where one of the tracking errors below is
-    the expected outcome).
+    The map must classify as GOOD; a map caches its critical data, so
+    classifying it again costs no root solve.
 
     Raises TrackingAmbiguity when continuation cannot be disambiguated even
     on steps bisected down to roundoff, ComponentCountMismatch when the
@@ -224,13 +223,12 @@ def trace(R, N=None, check_good=True):
         N = int(N)
         if not valid_n(N):
             raise ValueError(f"N must be a power of two in [64, {MAX_N}]")
-    if check_good or N is None:
-        verdict = is_n_good(R)
-        if check_good and verdict.status is not Goodness.GOOD:
-            raise ComponentCountMismatch(
-                f"map classifies as {verdict.status.value} "
-                f"(margin {verdict.margin:.3e}); boundary tracing needs a good map"
-            )
+    verdict = is_n_good(R)
+    if verdict.status is not Goodness.GOOD:
+        raise ComponentCountMismatch(
+            f"map classifies as {verdict.status.value} "
+            f"(margin {verdict.margin:.3e}); boundary tracing needs a good map"
+        )
     if N is None:
         N = start_n(verdict.data.max_cv_modulus)
     return _trace(R, N)

@@ -197,19 +197,24 @@ def assemble_gram(sampling, basis):
     z, lam = sampling.nodes()
     shape = sampling.weights.shape
     root = _by_class(np.sqrt(lam).reshape(shape))
-    X = _split_rows(_basis_values(basis.S, basis.k, _by_class(z.reshape(shape)), root))
-    # X[c] @ X[c].T is a symmetric rank-k update (BLAS syrk) of class c
-    P = X @ X.transpose(0, 2, 1)
-    # in place: P[0] <- grid N, C_0 + C_1 + C_2 + C_3; P[1] <- the change to
-    # N/2, C_0 - C_1 + C_2 - C_3; P[2] <- the change from N/2 to N/4,
-    # 2 (C_0 - C_2); each one exactly symmetric
-    np.add(P[1], P[3], out=P[3])
-    np.add(P[0], P[2], out=P[1])
-    np.subtract(P[0], P[2], out=P[2])
-    P[2] *= 2.0
-    np.add(P[1], P[3], out=P[0])
-    np.subtract(P[1], P[3], out=P[1])
-    G = _realify(P[:3])
+    # a high power of a small residue's basis element can overflow; the
+    # Gram is then not finite, which is checked once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _split_rows(_basis_values(basis.S, basis.k, _by_class(z.reshape(shape)), root))
+        # X[c] @ X[c].T is a symmetric rank-k update (BLAS syrk) of class c
+        P = X @ X.transpose(0, 2, 1)
+        # in place: P[0] <- grid N, C_0 + C_1 + C_2 + C_3; P[1] <- the change
+        # to N/2, C_0 - C_1 + C_2 - C_3; P[2] <- the change from N/2 to N/4,
+        # 2 (C_0 - C_2); each one exactly symmetric
+        np.add(P[1], P[3], out=P[3])
+        np.add(P[0], P[2], out=P[1])
+        np.subtract(P[0], P[2], out=P[2])
+        P[2] *= 2.0
+        np.add(P[1], P[3], out=P[0])
+        np.subtract(P[1], P[3], out=P[1])
+        G = _realify(P[:3])
+    if not np.isfinite(G).all():
+        raise IllConditioned(f"the Gram at k = {basis.k} is not finite: the basis overflows")
     c = lam.reshape(shape[0], -1, 4).sum(axis=(0, 1))
     b = np.zeros(G.shape[-1] - 2)
     for r, (_, j) in enumerate(basis.elements):
@@ -352,8 +357,7 @@ def bounds_sequence(R, kmax, N=None, S_override=None):
         escalate = N is None and conditioned and quad_error > QUAD_TOL
         if not escalate or sampling.N >= DEFAULT_N:
             break
-        # the first trace has classified the map already
-        sampling = trace(R, N=2 * sampling.N, check_good=False)
+        sampling = trace(R, N=2 * sampling.N)
     lowers = np.cumsum(yb * yb)[sizes - 1].tolist()
     uppers = (gram.c0 - np.cumsum(yw * yw)[sizes - 1]).tolist()
     rows = list(zip(range(1, kmax + 1), lowers, uppers))

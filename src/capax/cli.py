@@ -15,27 +15,21 @@ Subcommands: check (goodness only), bounds (CSV of bracket rows), trace
 (boundary CSV / SVG), verdict (full text report), repro (rerun a built-in
 example against its published reference values).
 
-Exit codes: 0 success, 2 bad input (including maps that are not good),
-3 numerical failure.
+Every subcommand runs in two phases, and the phase picks the exit code.
+_job reads and checks the map, the config file and the flags; run does the
+numerics.  Exit codes: 0 success; 2 when the job was wrong before any
+numerics: a parse error, a bad config or parameter, a map that is not good,
+or an output path that cannot be written; 3 for any other failure inside
+the numerics, numpy's LinAlgError included.
 """
 
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
 
 from . import boundary, capacity
 from .closedform import rotational_map
-from .errors import (
-    CapaxError,
-    ComponentCountMismatch,
-    DuplicatePole,
-    IllConditioned,
-    InvalidMap,
-    NonConvergence,
-    ParseError,
-    TrackingAmbiguity,
-)
+from .errors import CapaxError, InvalidMap, ParseError
 from .ratmap import Goodness, RationalMapPF, is_n_good
 
 _NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -178,19 +172,6 @@ def validate_params(kmax, nodes, tol):
         raise ValueError("tol must be positive")
 
 
-@dataclass
-class JobConfig:
-    map: RationalMapPF
-    map_text: str = ""
-    kmax: int = 5
-    nodes: int | None = None  # None: chosen from the critical values
-    tol: float = capacity.DEFAULT_TOL
-    paths: dict = field(default_factory=dict)
-
-    def validate(self):
-        validate_params(self.kmax, self.nodes, self.tol)
-
-
 CONFIG_KEYS = ("map", "kmax", "nodes", "tol", "out", "svg")
 
 
@@ -235,34 +216,34 @@ def load_config(path):
     return settings
 
 
-def _config_from_args(args):
-    settings = {}
-    if getattr(args, "config_path", None):
-        settings = load_config(args.config_path)
+def _job(args):
+    """Read and check everything one invocation needs, before any numerics.
+
+    Fills args.map, map_text, kmax, nodes, tol, out and svg from the flags,
+    then the config file, then the defaults; repro's map is its example and
+    its default kmax the largest reference k."""
+    settings = load_config(args.config_path) if getattr(args, "config_path", None) else {}
+    defaults = {"kmax": 5, "nodes": None, "tol": capacity.DEFAULT_TOL}
     map_text = getattr(args, "map_text", None) or settings.get("map")
-    if map_text:
-        R = parse_map(map_text)
-        text = map_text
+    if args.command == "repro":
+        args.map = example_map(args.example)
+        defaults["kmax"] = max(REFERENCE_BOUNDS[args.example])
+    elif map_text:
+        args.map = parse_map(map_text)
     elif "_terms" in settings:
-        R = RationalMapPF.from_terms(settings["_terms"])
-        text = format_map(R)
+        args.map = RationalMapPF.from_terms(settings["_terms"])
+        map_text = format_map(args.map)
     else:
         raise ValueError("no map given: use --map or a --config with a [map] section")
-    cfg = JobConfig(map=R, map_text=text)
+    args.map_text = map_text
     for name, cast in (("kmax", int), ("nodes", int), ("tol", float)):
-        if name in settings:
-            setattr(cfg, name, cast(settings[name]))
-        v = getattr(args, name, None)
-        if v is not None:
-            setattr(cfg, name, v)
-    paths = {}
-    for key, flag in (("out", "out"), ("svg", "svg")):
-        v = getattr(args, flag, None) or settings.get(key)
-        if v:
-            paths[key] = v
-    cfg.paths = paths
-    cfg.validate()
-    return cfg
+        value = cast(settings[name]) if name in settings else defaults[name]
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    for key in ("out", "svg"):
+        setattr(args, key, getattr(args, key, None) or settings.get(key))
+    validate_params(args.kmax, args.nodes, args.tol)
+    return args
 
 
 def _emit(text, path):
@@ -287,54 +268,55 @@ def _fmt_complex(c):
     return f"{c.real:.17g}{op}{abs(c.imag):.17g}i"
 
 
-def verdict_text(cfg, gv, bounds, av):
-    k, low, up = bounds.final
-    return (
-        f"map: {cfg.map_text}\n"
-        f"n: {cfg.map.n}\n"
-        f"sum_residues: {_fmt_complex(bounds.R_prime_inf)}\n"
-        f"goodness: {gv.status.value} (margin {gv.margin:.6g})\n"
-        f"bracket: k={k} lower={low:.15g} upper={up:.15g} (N={bounds.N})\n"
-        f"verdict: {av.status} (margin {av.margin:.6g})\n"
-        f"certified: {'yes' if bounds.certified else 'no'}\n"
-    )
-
-
-def run(cfg, command):
-    """Execute one subcommand against a validated JobConfig."""
-    gv = is_n_good(cfg.map)
+def run(job, command):
+    """Execute one subcommand on a job from _job.  Every exception here comes
+    from the numerics, except an OSError from an output path."""
+    gv = is_n_good(job.map)
     if gv.status is not Goodness.GOOD:
         sys.stderr.write(
             f"map classifies as {gv.status.value} (margin {gv.margin:.6g}); "
             "refusing to run the pipeline\n"
         )
         return 2
+    report = (
+        f"map: {job.map_text}\n"
+        f"n: {job.map.n}\n"
+        f"sum_residues: {_fmt_complex(job.map.derivative_at_infinity())}\n"
+        f"goodness: {gv.status.value} (margin {gv.margin:.6g})\n"
+    )
     if command == "check":
-        sys.stdout.write(
-            f"map: {cfg.map_text}\n"
-            f"n: {cfg.map.n}\n"
-            f"sum_residues: {_fmt_complex(cfg.map.derivative_at_infinity())}\n"
-            f"goodness: {gv.status.value} (margin {gv.margin:.6g})\n"
-        )
+        sys.stdout.write(report)
         return 0
     if command == "trace":
-        sampling = boundary.trace(cfg.map, N=cfg.nodes)
-        _emit(boundary.emit_csv(sampling), cfg.paths.get("out"))
-        if cfg.paths.get("svg"):
-            _emit(boundary.emit_svg(sampling), cfg.paths["svg"])
+        sampling = boundary.trace(job.map, N=job.nodes)
+        _emit(boundary.emit_csv(sampling), job.out)
+        if job.svg:
+            _emit(boundary.emit_svg(sampling), job.svg)
         return 0
-    bounds = capacity.bounds_sequence(cfg.map, cfg.kmax, N=cfg.nodes)
+    bounds = capacity.bounds_sequence(job.map, job.kmax, N=job.nodes)
     if command == "bounds":
-        _emit(bounds_csv(bounds), cfg.paths.get("out"))
+        _emit(bounds_csv(bounds), job.out)
         return 0
-    if command == "verdict":
-        av = capacity.verdict(bounds, tol=cfg.tol)
-        text = verdict_text(cfg, gv, bounds, av)
-        sys.stdout.write(text)
-        if cfg.paths.get("out"):
-            _emit(text, cfg.paths["out"])
+    av = capacity.verdict(bounds, tol=job.tol)
+    if command == "repro":
+        _emit(repro_csv(job.example, bounds), job.out)
+        note = " (numerical evidence only)" if job.example == 5 else ""
+        sys.stderr.write(
+            f"example {job.example}: verdict {av.status} at k={av.k_used}, "
+            f"margin {av.margin:.6g}{note}; certified: "
+            f"{'yes' if bounds.certified else 'no'}\n"
+        )
         return 0
-    raise ValueError(f"unknown command {command!r}")
+    k, low, up = bounds.final
+    report += (
+        f"bracket: k={k} lower={low:.15g} upper={up:.15g} (N={bounds.N})\n"
+        f"verdict: {av.status} (margin {av.margin:.6g})\n"
+        f"certified: {'yes' if bounds.certified else 'no'}\n"
+    )
+    sys.stdout.write(report)
+    if job.out:
+        _emit(report, job.out)
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -406,18 +388,10 @@ def example_map(example_id):
     return parse_map(_EXAMPLE_TEXT[example_id])
 
 
-def repro(example_id, kmax=None, nodes=None):
-    """Recompute a built-in example and tabulate against its reference rows.
-
-    Returns (bounds, csv_text).  Differences are reported, never asserted;
-    a repro run always completes.
-    """
-    example_id = int(example_id)
-    if example_id not in REFERENCE_BOUNDS:
-        raise ValueError("example id must be in 1..6")
+def repro_csv(example_id, bounds):
+    """The rows of bounds beside the example's reference rows, with their
+    differences."""
     ref = REFERENCE_BOUNDS[example_id]
-    kmax = int(kmax) if kmax is not None else max(ref)
-    bounds = capacity.bounds_sequence(example_map(example_id), kmax, N=nodes)
     lines = ["k,lower,upper,paper_lower,paper_upper,abs_err_l,abs_err_u"]
     for k, low, up in bounds.rows:
         if k not in ref:
@@ -427,23 +401,21 @@ def repro(example_id, kmax=None, nodes=None):
             f"{k},{low:.15g},{up:.15g},{rl:.15g},{ru:.15g},"
             f"{abs(low - rl):.15g},{abs(up - ru):.15g}"
         )
-    return bounds, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
-def _run_repro(args):
-    kmax = max(REFERENCE_BOUNDS[args.example]) if args.kmax is None else args.kmax
-    tol = capacity.DEFAULT_TOL if args.tol is None else args.tol
-    validate_params(kmax, args.nodes, tol)
-    bounds, csv_text = repro(args.example, kmax=kmax, nodes=args.nodes)
-    _emit(csv_text, args.out)
-    av = capacity.verdict(bounds, tol=tol)
-    note = " (numerical evidence only)" if args.example == 5 else ""
-    sys.stderr.write(
-        f"example {args.example}: verdict {av.status} at k={av.k_used}, "
-        f"margin {av.margin:.6g}{note}; certified: "
-        f"{'yes' if bounds.certified else 'no'}\n"
-    )
-    return 0
+def repro(example_id, kmax=None, nodes=None):
+    """Recompute a built-in example and tabulate against its reference rows.
+
+    Returns (bounds, csv_text).  Differences are reported, never asserted;
+    a repro run always completes.
+    """
+    example_id = int(example_id)
+    if example_id not in REFERENCE_BOUNDS:
+        raise ValueError("example id must be in 1..6")
+    kmax = int(kmax) if kmax is not None else max(REFERENCE_BOUNDS[example_id])
+    bounds = capacity.bounds_sequence(example_map(example_id), kmax, N=nodes)
+    return bounds, repro_csv(example_id, bounds)
 
 
 _NODES_HELP = (
@@ -485,23 +457,17 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "repro":
-            return _run_repro(args)
-        cfg = _config_from_args(args)
-        return run(cfg, args.command)
-    except (ParseError, InvalidMap, DuplicatePole, ValueError, OSError) as exc:
+        job = _job(args)
+    except (CapaxError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (
-        NonConvergence,
-        TrackingAmbiguity,
-        ComponentCountMismatch,
-        IllConditioned,
-    ) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 3
-    except CapaxError as exc:
+    try:
+        return run(job, args.command)
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except (CapaxError, ValueError) as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
 
 

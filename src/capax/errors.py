@@ -30,7 +30,8 @@ class EmptyBasis(CapaxError):
 
 
 class IllConditioned(CapaxError):
-    """Gram factorization failed beyond what the ridge fallback can absorb."""
+    """The Gram is not finite, or its factorization failed beyond what the
+    ridge fallback can absorb."""
 
 
 class AmplitudeOutOfRange(CapaxError):

@@ -152,12 +152,21 @@ def aberth_rows(a, p, ws, Z0):
 
 def pf_rows_ok(a, p, ws, Z, tol):
     """Per row of Z (len(ws), n), whether every root z passes
-    |R(z) - w| <= tol * sum_j |a_j/(z - p_j)|, the roundoff scale of R(z).
+    |R(z) - w| <= tol * (sum_j |a_j/(z - p_j)| + |z| sum_j |a_j|/|z - p_j|^2),
+    the roundoff scale of R(z): the first sum bounds the rounding of the
+    terms, the second bounds |z| |R'(z)|, the effect of rounding z itself,
+    which dominates at a root near a pole far from the origin.  The second
+    sum is read off the first as |t_j|^2/|a_j| with t_j = a_j/(z - p_j).
     As in aberth_rows, sums over poles run along the leading axis, so rows
     do not depend on their batch.  A root at a pole fails."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t = a[:, None, None] / (Z.T - p[:, None, None])  # [j, i, m]: a_j/(z_im - p_j)
-        return (np.abs(t.sum(axis=0) - ws) / np.abs(t).sum(axis=0) <= tol).all(axis=0)
+        at = np.abs(t)
+        scale = at.sum(axis=0)
+        at *= at
+        at *= (1.0 / np.abs(a))[:, None, None]
+        scale += np.abs(Z.T) * at.sum(axis=0)
+        return (np.abs(t.sum(axis=0) - ws) / scale <= tol).all(axis=0)
 
 
 def _pf_eigvals(a, p, ws):

@@ -84,9 +84,6 @@ class RationalMapPF:
         out = -(self.residues / (d * d)).sum(axis=-1)
         return complex(out) if zz.ndim == 0 else out
 
-    def preimages(self, w):
-        return preimages(self, w)
-
     def critical_data(self):
         return self._critical_data
 
@@ -94,12 +91,6 @@ class RationalMapPF:
     def _critical_data(self):
         # a map is immutable, so one solve serves every classification of it
         return critical_data(self)
-
-    def affine_conjugate(self, a, b):
-        return affine_conjugate(self, a, b)
-
-    def perturbed(self, extra_poles, eps):
-        return perturbed(self, extra_poles, eps)
 
 
 def evaluate(R, z):

@@ -11,7 +11,7 @@ import pytest
 import capax
 from capax import capacity, cli
 from capax.cli import format_map, load_config, main, parse_map
-from capax.errors import InvalidMap, ParseError
+from capax.errors import InvalidMap, NonConvergence, ParseError
 from capax.ratmap import RationalMapPF
 
 from conftest import random_good_map
@@ -118,6 +118,39 @@ def test_missing_map_exits_2(capsys):
 def test_bad_nodes_exits_2(capsys):
     assert main(["bounds", "--map", GOOD_TEXT, "--nodes", "100"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "exc", [NonConvergence("no convergence"), np.linalg.LinAlgError("no convergence")]
+)
+def test_numerical_failure_exits_3(monkeypatch, capsys, exc):
+    # LinAlgError is a ValueError; inside the numerics it is no bad input
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(capacity, "bounds_sequence", failing)
+    assert main(["verdict", "--map", GOOD_TEXT]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: no convergence\n"
+
+
+def test_basis_overflow_exits_3(capsys):
+    # (z - p)^{-40} overflows on the curve 1e-4 from the pole at 0; the
+    # failure is reported without a RuntimeWarning, which pytest's
+    # filterwarnings setting turns into an error
+    assert main(["verdict", "--map", "0.0001/(z)+0.3/(z-2)", "--kmax", "40"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("command", ["bounds", "verdict"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.txt"
+    assert main([command, "--map", GOOD_TEXT, "--kmax", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error():
