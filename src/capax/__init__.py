@@ -13,7 +13,7 @@ from .capacity import (
     enumerate_basis,
     verdict,
 )
-from .cli import format_map, parse_map, repro
+from .cli import format_map, parse_map
 from .closedform import (
     FamilyVerdict,
     IntervalSet,

@@ -404,20 +404,6 @@ def repro_csv(example_id, bounds):
     return "\n".join(lines) + "\n"
 
 
-def repro(example_id, kmax=None, nodes=None):
-    """Recompute a built-in example and tabulate against its reference rows.
-
-    Returns (bounds, csv_text).  Differences are reported, never asserted;
-    a repro run always completes.
-    """
-    example_id = int(example_id)
-    if example_id not in REFERENCE_BOUNDS:
-        raise ValueError("example id must be in 1..6")
-    kmax = int(kmax) if kmax is not None else max(REFERENCE_BOUNDS[example_id])
-    bounds = capacity.bounds_sequence(example_map(example_id), kmax, N=nodes)
-    return bounds, repro_csv(example_id, bounds)
-
-
 _NODES_HELP = (
     "trace resolution, a power of two (default: chosen from the critical "
     f"values, {boundary.AUTO_N_MIN}..{boundary.DEFAULT_N})"

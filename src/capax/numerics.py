@@ -115,7 +115,8 @@ def aberth_rows(a, p, ws, Z0):
 
     Returns (Z, done): done[r] is true when row r was frozen within
     _ABERTH_ITERS steps.  A root whose step is not finite (it met a pole or
-    another root) stays where it is, and its row is never frozen.
+    another root, or R' overflowed) stays where it is, and its row is never
+    frozen.
     """
     n = p.size
     Zt = np.array(np.broadcast_to(Z0, (len(ws), n)).T, dtype=np.complex128, order="C")
@@ -123,7 +124,7 @@ def aberth_rows(a, p, ws, Z0):
     live = np.arange(len(ws))
     diag = np.arange(n)
     a3, p3 = a[:, None, None], p[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ABERTH_ITERS):
             z = Zt.take(live, axis=1)
             inv = 1.0 / (z - p3)  # [j, i, m] = 1/(z_im - p_j)
@@ -156,17 +157,21 @@ def pf_rows_ok(a, p, ws, Z, tol):
     the roundoff scale of R(z): the first sum bounds the rounding of the
     terms, the second bounds |z| |R'(z)|, the effect of rounding z itself,
     which dominates at a root near a pole far from the origin.  The second
-    sum is read off the first as |t_j|^2/|a_j| with t_j = a_j/(z - p_j).
-    As in aberth_rows, sums over poles run along the leading axis, so rows
-    do not depend on their batch.  A root at a pole fails."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    sum is read off the first as (|t_j|/|a_j|) |z| |t_j| with
+    t_j = a_j/(z - p_j), in that order so that no product overflows
+    before the term itself does.  As in aberth_rows, sums over poles run
+    along the leading axis, so rows do not depend on their batch.  A root
+    at a pole fails, and so does a root whose scale overflows."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = a[:, None, None] / (Z.T - p[:, None, None])  # [j, i, m]: a_j/(z_im - p_j)
         at = np.abs(t)
         scale = at.sum(axis=0)
-        at *= at
-        at *= (1.0 / np.abs(a))[:, None, None]
-        scale += np.abs(Z.T) * at.sum(axis=0)
-        return (np.abs(t.sum(axis=0) - ws) / scale <= tol).all(axis=0)
+        u = at * (1.0 / np.abs(a))[:, None, None]  # 1/|z - p_j|
+        u *= np.abs(Z.T)
+        u *= at
+        scale += u.sum(axis=0)
+        ok = (np.abs(t.sum(axis=0) - ws) / scale <= tol) & np.isfinite(scale)
+        return ok.all(axis=0)
 
 
 def _pf_eigvals(a, p, ws):

@@ -7,8 +7,8 @@ import pytest
 
 from capax import boundary, numerics
 from capax.cli import example_map, parse_map
-from capax.errors import NonConvergence
-from capax.ratmap import RationalMapPF, evaluate, is_n_good
+from capax.errors import NonConvergence, PoleHit
+from capax.ratmap import RationalMapPF, evaluate, is_n_good, preimages
 
 from test_boundary import DEGREE16_0, MARGINAL_REFINED
 
@@ -143,6 +143,18 @@ def test_polish_rows_ok_matches_a_fresh_residual_check():
     # the warm solve brings every row back, and its ok is the check
     Zp, ok = numerics.solve_pf_rows(a, p, ws, tol, guess)
     assert ok.all() and np.array_equal(ok, fresh(Zp))
+
+
+def test_huge_values_overflow_nothing():
+    # |t|^2 = 1e400 would overflow, the scale itself (2e200) does not
+    a, p, ws = np.array([0.3]), np.array([0.0]), np.array([1e200])
+    assert numerics.pf_rows_ok(a, p, ws, 0.3 / ws[:, None], 1e-12).all()
+    # a scale that overflows fails the row, whatever its residual
+    a, p = np.array([1e308, 1e308]), np.array([0.0, 2.0])
+    assert not numerics.pf_rows_ok(a, p, np.array([1e-300]), np.ones((1, 2)), 1e-12).any()
+    # the preimages of 1e200 round onto the poles: an error, not a warning
+    with pytest.raises(PoleHit):
+        preimages(RationalMapPF(np.array([0.3, 0.2]), np.array([0.0, 1.0])), 1e200)
 
 
 # The partial-fraction Aberth kernel behind trace's row solver, on maps of
