@@ -7,7 +7,9 @@ and all n curves are sampled on one uniform t grid by following the n roots of
 R(z) = e^{it} as t advances.  Only the residues and poles of R enter.
 
 The root sets come from numerics.solve_pf_rows, the partial-fraction Aberth
-kernel (the one iteration for every row) with an eigensolver fallback.  Every
+kernel (the one iteration for every row) with an eigensolver fallback.  Its
+residual check, numerics.pf_rows_ok, is the one test a node passes: a row it
+rejects raises NonConvergence, and no later pass checks a node again.  Every
 S-th node (S = min(8, N/64): 2 at N = 128, 8 from N = 512) is an anchor,
 solved cold from the poles.  Each node between two anchors is solved warm from
 a tangent predictor off its left anchor's raw roots; a row the warm iteration
@@ -45,7 +47,6 @@ DEFAULT_N = 4096  # the largest resolution chosen automatically
 MAX_N = 1 << 16
 AUTO_N_MIN = 128
 AUTO_DECAY = 1e-16
-NODE_RESIDUAL_TOL = 1e-9
 STABILITY_RATIO = 2.0
 _ANCHOR_STRIDE = 8
 
@@ -216,8 +217,9 @@ def trace(R, N=None):
 
     Raises TrackingAmbiguity when continuation cannot be disambiguated even
     on steps bisected down to roundoff, ComponentCountMismatch when the
-    curve/pole pairing is not one-to-one, and NonConvergence when node
-    residuals miss NODE_RESIDUAL_TOL.
+    curve/pole pairing is not one-to-one, and NonConvergence when a row
+    solve fails (numerics.pf_rows_ok rejects its roots even after the
+    eigensolver).
     """
     if N is not None:
         N = int(N)
@@ -239,10 +241,10 @@ def _row_solver(R):
     Z0=None) returns the roots of R(z) = w for every w in ws and a success
     flag per row, from the guesses Z0 (one row, or one per w) or cold from
     the poles."""
-    a, p, tol = R.residues, R.poles, numerics.DEFAULT_ROOT_TOL
+    a, p = R.residues, R.poles
 
     def solver(ws, Z0=None):
-        return numerics.solve_pf_rows(a, p, ws, tol, Z0)
+        return numerics.solve_pf_rows(a, p, ws, Z0)
 
     return solver
 
@@ -268,17 +270,12 @@ def _trace(R, N):
     # close to a neighboring component).
     Z = _order_chain(Z, ts, solver)
 
-    # R = sum a/(z - p) and |R'| = |sum a/(z - p)^2| from one pole-distance
-    # tensor per row block; no pole-proximity guard (nodes stay away from poles)
-    speed, resid = np.empty(Z.shape), 0.0
+    # |dz/dt| = 1/|R'| with R' = -sum a/(z - p)^2, one row block at a time;
+    # no pole-proximity guard (pf_rows_ok fails a root at a pole)
+    speed = np.empty(Z.shape)
     for b in numerics._row_blocks(N, n):
         inv = 1.0 / (Z[b, :, None] - R.poles)
-        resid = max(resid, np.abs(np.abs(inv @ R.residues) - 1.0).max())
         speed[b] = 1.0 / np.abs(np.square(inv, out=inv) @ R.residues)
-    if resid > NODE_RESIDUAL_TOL:
-        raise NonConvergence(
-            f"node residual {resid:.3e} exceeds {NODE_RESIDUAL_TOL:.1e}"
-        )
     curves = []
     for c in range(n):
         w = _windings(Z[:, c], R.poles)

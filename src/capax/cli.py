@@ -24,6 +24,8 @@ the numerics, numpy's LinAlgError included.
 """
 
 import argparse
+import errno
+import os
 import re
 import sys
 
@@ -221,7 +223,8 @@ def _job(args):
 
     Fills args.map, map_text, kmax, nodes, tol, out and svg from the flags,
     then the config file, then the defaults; repro's map is its example and
-    its default kmax the largest reference k."""
+    its default kmax the largest reference k.  An output path must name a
+    file in an existing directory."""
     settings = load_config(args.config_path) if getattr(args, "config_path", None) else {}
     defaults = {"kmax": 5, "nodes": None, "tol": capacity.DEFAULT_TOL}
     map_text = getattr(args, "map_text", None) or settings.get("map")
@@ -240,10 +243,23 @@ def _job(args):
         value = cast(settings[name]) if name in settings else defaults[name]
         if getattr(args, name) is None:
             setattr(args, name, value)
-    for key in ("out", "svg"):
-        setattr(args, key, getattr(args, key, None) or settings.get(key))
+    args.out = args.out or settings.get("out")
+    # only trace writes an SVG; the other subcommands ignore the svg key
+    args.svg = (args.svg or settings.get("svg")) if args.command == "trace" else None
     validate_params(args.kmax, args.nodes, args.tol)
+    for path in (args.out, args.svg):
+        if path:
+            _check_out_path(path)
     return args
+
+
+def _check_out_path(path):
+    """OSError unless path names a file in an existing directory, with the
+    message open() would give."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _emit(text, path):

@@ -119,14 +119,14 @@ def degree2_classify(a1, a2, p1, p2):
     return FamilyVerdict.NOT_AHLFORS
 
 
-def real_family_classify(R, delta=1e-9):
+def real_family_classify(R):
     """Sign criterion for good maps with real poles and real residues:
     extremal exactly when every residue is positive."""
     all_real = (
         np.abs(R.poles.imag).max() <= _REAL_TOL
         and np.abs(R.residues.imag).max() <= _REAL_TOL
     )
-    if not all_real or is_n_good(R, delta).status is not Goodness.GOOD:
+    if not all_real or is_n_good(R).status is not Goodness.GOOD:
         return FamilyVerdict.NOT_APPLICABLE
     if np.all(R.residues.real > 0):
         return FamilyVerdict.AHLFORS

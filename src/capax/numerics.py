@@ -4,7 +4,8 @@ The roots of R(z) = w for R = sum_j a_j/(z - p_j) and a batch of w, as trace
 needs them, never see a polynomial: solve_pf_rows runs a batched Aberth
 iteration on the partial fractions (aberth_rows), O(n) per root and step,
 and falls back to one batched eigensolve of diag(p) + a 1^T/w.  Every
-accepted row passes one residual check (pf_rows_ok).  It takes its rows in
+accepted row passes one residual check (pf_rows_ok), the only place that
+accepts a root of R(z) = w; no caller checks it again.  It takes its rows in
 blocks of _row_blocks, as trace's other per-row passes over n x n tensors do.
 
 The polynomial helpers serve only ratmap.critical_data: it builds the
@@ -151,14 +152,16 @@ def aberth_rows(a, p, ws, Z0):
     return Zt.T.copy(), done
 
 
-def pf_rows_ok(a, p, ws, Z, tol):
+def pf_rows_ok(a, p, ws, Z):
     """Per row of Z (len(ws), n), whether every root z passes
-    |R(z) - w| <= tol * (sum_j |a_j/(z - p_j)| + |z| sum_j |a_j|/|z - p_j|^2),
-    the roundoff scale of R(z): the first sum bounds the rounding of the
-    terms, the second bounds |z| |R'(z)|, the effect of rounding z itself,
-    which dominates at a root near a pole far from the origin.  The second
-    sum is read off the first as (|t_j|/|a_j|) |z| |t_j| with
-    t_j = a_j/(z - p_j), in that order so that no product overflows
+    |R(z) - w| <= tol * (sum_j |a_j/(z - p_j)| + |z| sum_j |a_j|/|z - p_j|^2)
+    with tol = DEFAULT_ROOT_TOL.  This is the one test that accepts a root
+    of R(z) = w: trace and ratmap.preimages take its verdict as final.  The
+    right side is the roundoff scale of R(z): the first sum bounds the
+    rounding of the terms, the second bounds |z| |R'(z)|, the effect of
+    rounding z itself, which dominates at a root near a pole far from the
+    origin.  The second sum is read off the first as (|t_j|/|a_j|) |z| |t_j|
+    with t_j = a_j/(z - p_j), in that order so that no product overflows
     before the term itself does.  As in aberth_rows, sums over poles run
     along the leading axis, so rows do not depend on their batch.  A root
     at a pole fails, and so does a root whose scale overflows."""
@@ -170,7 +173,7 @@ def pf_rows_ok(a, p, ws, Z, tol):
         u *= np.abs(Z.T)
         u *= at
         scale += u.sum(axis=0)
-        ok = (np.abs(t.sum(axis=0) - ws) / scale <= tol) & np.isfinite(scale)
+        ok = (np.abs(t.sum(axis=0) - ws) / scale <= DEFAULT_ROOT_TOL) & np.isfinite(scale)
         return ok.all(axis=0)
 
 
@@ -182,7 +185,7 @@ def _pf_eigvals(a, p, ws):
     return np.linalg.eigvals((a / ws[:, None])[:, :, None] + np.diag(p))
 
 
-def solve_pf_rows(a, p, ws, tol, Z0=None):
+def solve_pf_rows(a, p, ws, Z0=None):
     """The n roots of sum_j a_j/(z - p_j) = w for every w in ws: (Z, ok).
 
     aberth_rows starts at Z0 (one row for all, or one per w) or at the
@@ -199,12 +202,12 @@ def solve_pf_rows(a, p, ws, tol, Z0=None):
     for b in _row_blocks(len(ws), p.size):
         w = ws[b]
         Zb, done = aberth_rows(a, p, w, Z0[b])
-        okb = done & pf_rows_ok(a, p, w, Zb, tol)
+        okb = done & pf_rows_ok(a, p, w, Zb)
         okb &= (np.abs(Zb[:, i] - Zb[:, j]) >= CLUSTER_SEP).all(axis=1)
         redo = np.flatnonzero(~okb)
         if redo.size:
             Zb[redo] = aberth_rows(a, p, w[redo], _pf_eigvals(a, p, w[redo]))[0]
-            okb[redo] = pf_rows_ok(a, p, w[redo], Zb[redo], tol)
+            okb[redo] = pf_rows_ok(a, p, w[redo], Zb[redo])
         Z[b], ok[b] = Zb, okb
     return Z, ok
 

@@ -20,6 +20,8 @@ from .errors import DuplicatePole, NonConvergence, PoleHit
 POLE_SEP_MIN = 1e-10
 RESIDUE_MIN = 1e-15
 POLE_HIT_DIST = 1e-12
+# half-width of is_n_good's MARGINAL band about max |critical value| = 1
+GOOD_BAND = 1e-9
 
 # trailing-coefficient cutoff (relative) when the critical numerator degenerates
 _TRIM_REL = 64 * np.finfo(np.float64).eps
@@ -110,24 +112,22 @@ def evaluate(R, z):
     return t.sum(axis=-1)
 
 
-def preimages(R, w, tol=1e-9):
+def preimages(R, w):
     """The n preimages of w (counted with multiplicity), by solve_pf_rows.
 
     w must be nonzero; the preimage of 0 is the point at infinity, which has
-    no finite representative here.  Each returned root r satisfies
-    |R(r) - w| <= tol.
+    no finite representative here.  The roots are accepted by
+    numerics.pf_rows_ok, a residual test at the roundoff scale of R, so they
+    keep their accuracy when the map is moved far from the origin.  Raises
+    NonConvergence only when that row solve fails.
     """
     w = complex(w)
     if w == 0:
         raise ValueError("w = 0 has no finite preimages (R(infinity) = 0)")
-    Z, _ = numerics.solve_pf_rows(R.residues, R.poles, np.array([w]), numerics.DEFAULT_ROOT_TOL)
-    r = Z[0]
-    err = np.abs(evaluate(R, r) - w)
-    if err.max() > tol:
-        raise NonConvergence(
-            f"preimage residual {err.max():.3e} exceeds {tol:.1e} for w = {w}"
-        )
-    return r
+    Z, ok = numerics.solve_pf_rows(R.residues, R.poles, np.array([w]))
+    if not ok[0]:
+        raise NonConvergence(f"the preimages of w = {w} failed the residual check")
+    return Z[0]
 
 
 @dataclass(frozen=True)
@@ -185,20 +185,18 @@ class GoodnessVerdict:
     data: CriticalData = field(repr=False, default=None)
 
 
-def is_n_good(R, delta=1e-9):
+def is_n_good(R):
     """Classify R by its critical values.
 
-    GOOD when every finite critical value has modulus < 1 - delta, NOT_GOOD
-    when some modulus exceeds 1 + delta, MARGINAL in the closed band between.
-    delta must lie in (0, 0.1].
+    GOOD when every finite critical value has modulus < 1 - GOOD_BAND,
+    NOT_GOOD when some modulus exceeds 1 + GOOD_BAND, MARGINAL in the closed
+    band between.
     """
-    if not (0 < delta <= 0.1):
-        raise ValueError("delta must lie in (0, 0.1]")
     data = R.critical_data()
     margin = 1.0 - data.max_cv_modulus
-    if margin > delta:
+    if margin > GOOD_BAND:
         status = Goodness.GOOD
-    elif margin < -delta:
+    elif margin < -GOOD_BAND:
         status = Goodness.NOT_GOOD
     else:
         status = Goodness.MARGINAL

@@ -292,7 +292,9 @@ MARGIN_8E_9 = (
 )
 # A good seven-pole map with margin 7.1e-4.  A Newton step on the expanded
 # P - wQ after Aberth leaves its nodes at the default N = 4096 at residual
-# 3.3e-9, above NODE_RESIDUAL_TOL; the partial fractions alone do not.
+# 3.3e-9, some 60 times the largest residual that the root check
+# (numerics.pf_rows_ok) accepts at these nodes; the partial fractions alone
+# do not.
 SEVEN_POLE = (
     "(0.05483+0.029961i)/(z+(1.315-0.144i))+(0.090149+0.14026i)/(z+(1.954+1.519i))"
     "-(0.097008-0.113832i)/(z+(1.73+0.326i))-(0.093187+0.004521i)/(z+(0.161+1.171i))"

@@ -102,8 +102,9 @@ def test_bounds_are_monotone_and_ordered():
 def test_bounds_affine_equivariance():
     # Capacity scales by 1/|a| when z maps to (z - b)/a, and both bounds are
     # built from conformally natural data, so rows scale the same way.  The
-    # last input moves example 1 by 1e4: its roots near the poles then carry
-    # the rounding of z itself, which the root check has to allow for.
+    # last inputs move examples 1, 3 and 6 by 1e4, 1e7 and 1e8: their roots
+    # near the poles then carry the rounding of z itself, which the root
+    # check has to allow for, and no absolute residual may reject them.
     rng = np.random.default_rng(71)
     cases = []
     for _ in range(3):
@@ -112,6 +113,7 @@ def test_bounds_affine_equivariance():
         b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         cases.append((R, a, b))
     cases.append((example_map(1), 1.0, -1e4))
+    cases += [(example_map(k), 1.0, -b) for k in (1, 3, 6) for b in (1e7, 1e8)]
     for R, a, b in cases:
         S = affine_conjugate(R, a, b)
         rows_R = capacity.bounds_sequence(R, 3, N=1024).rows

@@ -145,12 +145,36 @@ def test_basis_overflow_exits_3(capsys):
     assert captured.err.startswith("numerical failure:")
 
 
-@pytest.mark.parametrize("command", ["bounds", "verdict"])
-def test_unwritable_out_exits_2(tmp_path, capsys, command):
-    out = tmp_path / "missing" / "out.txt"
-    assert main([command, "--map", GOOD_TEXT, "--kmax", "2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["bounds", "--out", "missing/rows.csv"], ""),
+        (["verdict", "--out", "missing/report.txt"], ""),
+        (["trace", "--svg", "missing/curves.svg"], ""),
+        (["repro", "1", "--out", "missing/table.csv"], ""),
+        (["verdict", "--out", "."], ""),
+        (["bounds"], "out = missing/rows.csv\n"),
+        (["trace"], "svg = missing/curves.svg\n"),
+    ],
+    ids=["bounds", "verdict", "trace-svg", "repro", "out-is-a-dir", "config-out", "config-svg"],
+)
+def test_unwritable_out_exits_2(monkeypatch, tmp_path, capsys, argv, config):
+    # the output paths are checked before any numerics run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the numerics ran before the output path was checked")
+
+    for module, name in ((capacity, "bounds_sequence"), (cli.boundary, "trace"),
+                         (cli, "is_n_good")):
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.chdir(tmp_path)
+    if argv[0] != "repro":
+        Path("job.cfg").write_text(f"map = {GOOD_TEXT}\n{config}")
+        argv = argv + ["--config", "job.cfg"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ")
+    assert not Path("missing").exists()
 
 
 def test_unknown_subcommand_is_usage_error():

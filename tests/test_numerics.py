@@ -7,7 +7,7 @@ import pytest
 
 from capax import boundary, numerics
 from capax.cli import example_map, parse_map
-from capax.errors import NonConvergence, PoleHit
+from capax.errors import NonConvergence
 from capax.ratmap import RationalMapPF, evaluate, is_n_good, preimages
 
 from test_boundary import DEGREE16_0, MARGINAL_REFINED
@@ -125,7 +125,7 @@ def test_polish_rows_ok_matches_a_fresh_residual_check():
                       rng.normal(size=n) + 1j * rng.normal(size=n))
     a, p, tol = R.residues, R.poles, numerics.DEFAULT_ROOT_TOL
     ws = np.exp(2j * np.pi * np.arange(64) / 64)
-    Z, ok = numerics.solve_pf_rows(a, p, ws, tol)
+    Z, ok = numerics.solve_pf_rows(a, p, ws)
     assert ok.all()
     # perturbed roots: every row but the untouched ones fails the check
     guess = Z * (1 + 1e-6 * rng.normal(size=Z.shape))
@@ -137,23 +137,24 @@ def test_polish_rows_ok_matches_a_fresh_residual_check():
             for w, z in zip(ws, Z)
         ])
 
-    ok = numerics.pf_rows_ok(a, p, ws, guess, tol)
+    ok = numerics.pf_rows_ok(a, p, ws, guess)
     assert ok.any() and not ok.all()
     assert np.array_equal(ok, fresh(guess))
     # the warm solve brings every row back, and its ok is the check
-    Zp, ok = numerics.solve_pf_rows(a, p, ws, tol, guess)
+    Zp, ok = numerics.solve_pf_rows(a, p, ws, guess)
     assert ok.all() and np.array_equal(ok, fresh(Zp))
 
 
 def test_huge_values_overflow_nothing():
     # |t|^2 = 1e400 would overflow, the scale itself (2e200) does not
     a, p, ws = np.array([0.3]), np.array([0.0]), np.array([1e200])
-    assert numerics.pf_rows_ok(a, p, ws, 0.3 / ws[:, None], 1e-12).all()
+    assert numerics.pf_rows_ok(a, p, ws, 0.3 / ws[:, None]).all()
     # a scale that overflows fails the row, whatever its residual
     a, p = np.array([1e308, 1e308]), np.array([0.0, 2.0])
-    assert not numerics.pf_rows_ok(a, p, np.array([1e-300]), np.ones((1, 2)), 1e-12).any()
-    # the preimages of 1e200 round onto the poles: an error, not a warning
-    with pytest.raises(PoleHit):
+    assert not numerics.pf_rows_ok(a, p, np.array([1e-300]), np.ones((1, 2))).any()
+    # a preimage of 1e200 rounds onto its pole, where the residual check
+    # fails it: an error, not a warning
+    with pytest.raises(NonConvergence):
         preimages(RationalMapPF(np.array([0.3, 0.2]), np.array([0.0, 1.0])), 1e200)
 
 
@@ -196,7 +197,7 @@ def test_aberth_anchor_rows_match_the_eigensolver(monkeypatch, R):
     # the roots of R = w are the eigenvalues of diag(p) + a 1^T / w
     ref = np.array([np.linalg.eigvals(np.diag(p) + a[:, None] / w) for w in ws])
     fallback = _counting_eigensolve(monkeypatch)
-    Z, ok = numerics.solve_pf_rows(a, p, ws, numerics.DEFAULT_ROOT_TOL)
+    Z, ok = numerics.solve_pf_rows(a, p, ws)
     assert fallback == [] and ok.all()
     # the same root set: the nearest-root assignment is a bijection
     D = np.abs(Z[:, :, None] - ref[:, None, :])
@@ -215,7 +216,7 @@ def test_aberth_returns_the_exact_start_of_a_disk_map(monkeypatch):
     assert done.all()
     assert np.abs(Z - start).max() <= 1e-15
     fallback = _counting_eigensolve(monkeypatch)
-    Z, ok = numerics.solve_pf_rows(a, p, ws, numerics.DEFAULT_ROOT_TOL)
+    Z, ok = numerics.solve_pf_rows(a, p, ws)
     assert ok.all() and fallback == []
     assert np.abs(Z - start).max() <= 1e-15
 
@@ -224,7 +225,7 @@ def test_row_blocks_do_not_change_the_rows(monkeypatch):
     # 64 rows in one block and in blocks of 5, with row 37 forced to the
     # eigensolver
     R = parse_map(DEGREE16_0)
-    a, p, tol = R.residues, R.poles, numerics.DEFAULT_ROOT_TOL
+    a, p = R.residues, R.poles
     ws = np.exp(2j * np.pi * np.arange(64) / 64)
     calls = []
     real = numerics.aberth_rows
@@ -237,10 +238,10 @@ def test_row_blocks_do_not_change_the_rows(monkeypatch):
 
     monkeypatch.setattr(numerics, "aberth_rows", forced)
     fallback = _counting_eigensolve(monkeypatch)
-    Z, ok = numerics.solve_pf_rows(a, p, ws, tol)
+    Z, ok = numerics.solve_pf_rows(a, p, ws)
     assert calls == [64, 1] and fallback == [1] and ok.all()
     monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 5 * p.size**2)
-    Zb, okb = numerics.solve_pf_rows(a, p, ws, tol)
+    Zb, okb = numerics.solve_pf_rows(a, p, ws)
     assert len(calls) == 2 + 13 + 1 and fallback == [1, 1]
     assert np.array_equal(okb, ok) and Zb.tobytes() == Z.tobytes()
 

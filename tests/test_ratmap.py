@@ -66,12 +66,16 @@ def test_conjugation_symmetry_for_real_maps():
 
 
 def test_preimages_quadratic():
-    # R(z) = -1 reduces to z^2 + 0.5 z - 1.1 = 0.
-    R = two_pole_map()
-    got = sorted(ratmap.preimages(R, -1.0), key=lambda z: z.real)
-    s = np.sqrt(0.25 + 4.4)
-    assert abs(got[0] - (-0.5 - s) / 2) < 1e-12
-    assert abs(got[1] - (-0.5 + s) / 2) < 1e-12
+    # R(z) = w reduces to w z^2 - 0.5 z + 0.1 - w = 0.  Moving the poles by
+    # -1e7 moves the roots with them, to within rounding at 1e7: the root
+    # check scales with the map, not with an absolute residual.
+    for shift in (0.0, -1e7):
+        R = ratmap.affine_conjugate(two_pole_map(), 1.0, -shift)
+        for w in (-1.0, 1.0, 1j):
+            got = np.sort_complex(ratmap.preimages(R, w) - shift)
+            s = np.sqrt(0.25 - 4 * w * (0.1 - w) + 0j)
+            want = np.sort_complex(np.array([0.5 - s, 0.5 + s]) / (2 * w))
+            assert np.abs(got - want).max() < 1e-12 + 2 * np.spacing(abs(shift))
 
 
 def test_preimages_round_trip():
@@ -167,14 +171,6 @@ def test_is_n_good_marginal_band():
     verdict = ratmap.is_n_good(R)
     assert verdict.status is Goodness.MARGINAL
     assert abs(verdict.margin) <= 1e-9
-
-
-def test_is_n_good_delta_validation():
-    R = two_pole_map()
-    with pytest.raises(ValueError):
-        ratmap.is_n_good(R, delta=0.0)
-    with pytest.raises(ValueError):
-        ratmap.is_n_good(R, delta=0.2)
 
 
 def test_affine_conjugate_normalizes_poles():
