@@ -24,6 +24,15 @@ closes on the first row at ts[0] + 2pi, where it must come back unpermuted.
 Warm starts only save iterations: every row is matched as a raw root set, and
 each row is solved independently of its batch.
 
+A real map, every residue and pole with imaginary part exactly 0, has
+R(conj z) = conj R(z), so the roots at 2pi - t are the conjugates of the
+roots at t.  Its trace solves the anchors and fill rows of t in [0, pi]
+only and sets raw row N - i to the conjugate of raw row i; the walk, the
+speeds and the windings then run on all N rows.  Its sampling is marked
+conjugate_symmetric, and every curve has z[N - i] == conj(z[i]) exactly.
+Every other map, a conjugation-closed one with complex poles included,
+solves all N rows.
+
 Uniform-grid (periodic trapezoid) sums over these analytic curves converge
 geometrically, with a rate set by the critical value v nearest the unit
 circle: the error decays roughly like |v|^N (Trefethen & Weideman, SIAM Rev.
@@ -66,6 +75,8 @@ class BoundarySampling:
     N: int
     total_arclength: float
     weights: np.ndarray  # (n, N) trapezoid weights, row c for curves[c]
+    # set by trace for a real map: every curve has z[N - i] == conj(z[i])
+    conjugate_symmetric: bool = False
 
     def nodes(self):
         """All nodes and quadrature weights w_i with sum w_i = arclength/2pi."""
@@ -255,14 +266,20 @@ def _trace(R, N):
     solver = _row_solver(R)
     ts = 2.0 * np.pi * np.arange(N) / N
     S = min(_ANCHOR_STRIDE, N // 64)
-    Z = _solve_grid(solver, ts[::S])
+    # a real map has R(conj z) = conj R(z), so the roots at 2pi - t are the
+    # conjugates of those at t: only rows 0..N/2 (t in [0, pi]) are solved
+    real = not (R.poles.imag.any() or R.residues.imag.any())
+    M = N // 2 + 1 if real else N
+    Z = _solve_grid(solver, ts[:M:S])
     if S > 1:
         # fill rows start from the tangent dz/dt = i e^{it} / R'(z) at their
         # raw left anchor; the guess only saves iterations, never orders
-        slope = 1j * np.exp(1j * ts[::S])[:, None] / R.derivative(Z)
-        Z = (Z[:, None] + ts[None, :S, None] * slope[:, None]).reshape(N, n)
-        fill = np.arange(N) % S != 0
-        Z[fill] = _solve_grid(solver, ts[fill], Z[fill])
+        slope = 1j * np.exp(1j * ts[:M:S])[:, None] / R.derivative(Z)
+        Z = (Z[:, None] + ts[None, :S, None] * slope[:, None]).reshape(-1, n)[:M]
+        fill = np.arange(M) % S != 0
+        Z[fill] = _solve_grid(solver, ts[:M][fill], Z[fill])
+    if real:
+        Z = np.concatenate((Z, Z[N // 2 - 1 : 0 : -1].conj()))
     # Seeds: the n distinct t = 0 roots of the first anchor row, one per
     # component for a good map.  Which root lies on which component is
     # settled after tracing by winding numbers; no geometric heuristic here
@@ -302,7 +319,9 @@ def _trace(R, N):
     curves.sort(key=lambda cv: cv.component_id)
     total = float(sum(cv.speed.sum() for cv in curves) * (2.0 * np.pi / N))
     weights = np.stack([cv.speed for cv in curves]) / N
-    return BoundarySampling(curves=curves, N=N, total_arclength=total, weights=weights)
+    return BoundarySampling(
+        curves=curves, N=N, total_arclength=total, weights=weights, conjugate_symmetric=real
+    )
 
 
 def quad_inner(sampling, f, g):

@@ -12,14 +12,16 @@ slots of the simple poles (z - p)^{-1}, the only elements with Re phi'(inf)
 nonzero.  Both values bracket the capacity of {|R| >= 1} for every k, and
 tighten monotonically as the spans grow.
 
-The basis is order-major: all of S at j = 1, then all of S at j = 2, and so
-on, so the span for k is the first 2|S|k real slots and its Gram is the
+Each element has two real slots, its real and its imaginary coefficient,
+except on a real map's nodes with a real S, where it has one (below).  The
+basis is order-major: all of S at j = 1, then all of S at j = 2, and so on,
+so the span for k is the first slots |S| k real slots and its Gram is the
 leading block of the kmax Gram.  One Cholesky factor L of the equilibrated
 kmax Gram D^{-1} G D^{-1} is then the factor of every leading block, and
 with the two triangular solves y_w = L^{-1} D^{-1} w and y_b = L^{-1} D^{-1} b
 every row is a prefix sum, monotone in k by construction:
 
-    u_k = c0 - sum_{s < 2|S|k} y_w[s]^2,    l_k = sum_{s < 2|S|k} y_b[s]^2.
+    u_k = c0 - sum_{s < slots |S| k} y_w[s]^2,    l_k = sum_{s < slots |S| k} y_b[s]^2.
 
 Only the m elements themselves are integrated, through the products of
 their real and imaginary parts; multiplication by i acts on these
@@ -37,6 +39,17 @@ flops as the complex Hermitian one.  Its 2x2 blocks are the products of real
 and imaginary parts, which give the real Gram directly, and its first row
 gives w.  The factor and both triangular solves are plain numpy: Cholesky,
 then blockwise exact substitution.
+
+A real map's nodes are conjugate-symmetric (boundary.trace): the node at
+2pi - t is the conjugate of the node at t, with the same weight.  For a real
+S every element then has phi(conj z) = conj phi(z), so over each conjugate
+pair of nodes the complex Gram, and w, are real, on each of the three grids.
+The imaginary slots then decouple from the real ones, take the coefficient
+0, and add nothing to any row: the system keeps the real slots alone, an
+m x m G.  Its products need no split: row r of the float64 view of the
+complex class block interleaves Re and Im of element r, so one product of
+that (1 + m, nodes/2) view with its transpose is the real part of the
+complex Gram, half the flops of the split product.
 
 The class Grams C_0..C_3 give the trapezoid Grams of the nested grids for
 free: C_N = C_0 + C_1 + C_2 + C_3, C_{N/2} = 2 (C_0 + C_2) and C_{N/4} =
@@ -93,9 +106,15 @@ def enumerate_basis(R, k, S_override=None):
 
 @dataclass(frozen=True)
 class GramSystem:
-    G: np.ndarray  # (2m, 2m) real, symmetric positive definite up to roundoff
-    w: np.ndarray  # (2m,)  <1, phi_r>
-    b: np.ndarray  # (2m,)  Re phi_r'(infinity)
+    """The real Gram system of m basis elements, with slots = G.shape[0] // m
+    real slots per element.  With two, slot 2r is the real coefficient of
+    element r and slot 2r+1 the imaginary one.  With one (on
+    conjugate-symmetric nodes and a real S), slot r is the real coefficient
+    of element r; the imaginary ones decouple there and add nothing."""
+
+    G: np.ndarray  # (slots m, slots m) real, symmetric positive definite up to roundoff
+    w: np.ndarray  # (slots m,)  <1, phi_r>
+    b: np.ndarray  # (slots m,)  Re phi_r'(infinity)
     c0: float  # arclength / 2pi
     # the changes of (G, w, c0) from grid N to N/2 and from N/2 to N/4; b is
     # exact, so their b is zero
@@ -192,15 +211,22 @@ def assemble_gram(sampling, basis):
     systems of the nested grids N/2 and N/4 in its steps.
 
     Row 0 of the basis array is the constant function 1, so one product per
-    class gives the Gram together with w in row 0."""
+    class gives the Gram together with w in row 0.  On conjugate-symmetric
+    nodes with a real S the system has one real slot per element (see
+    GramSystem), two otherwise."""
     _check_poles_inside(sampling, basis.S)
     z, lam = sampling.nodes()
     shape = sampling.weights.shape
     root = _by_class(np.sqrt(lam).reshape(shape))
+    real = sampling.conjugate_symmetric and not basis.S.imag.any()
+    slots = 1 if real else 2
     # a high power of a small residue's basis element can overflow; the
     # Gram is then not finite, which is checked once below
     with np.errstate(over="ignore", invalid="ignore"):
-        X = _split_rows(_basis_values(basis.S, basis.k, _by_class(z.reshape(shape)), root))
+        B = _basis_values(basis.S, basis.k, _by_class(z.reshape(shape)), root)
+        # real: row r of the float view interleaves Re and Im of element r,
+        # so X X^T is the real part of the complex Gram, the whole Gram there
+        X = B.view(np.float64) if real else _split_rows(B)
         # X[c] @ X[c].T is a symmetric rank-k update (BLAS syrk) of class c
         P = X @ X.transpose(0, 2, 1)
         # in place: P[0] <- grid N, C_0 + C_1 + C_2 + C_3; P[1] <- the change
@@ -212,19 +238,22 @@ def assemble_gram(sampling, basis):
         P[2] *= 2.0
         np.add(P[1], P[3], out=P[0])
         np.subtract(P[1], P[3], out=P[1])
-        G = _realify(P[:3])
+        G = P[:3] if real else _realify(P[:3])
     if not np.isfinite(G).all():
         raise IllConditioned(f"the Gram at k = {basis.k} is not finite: the basis overflows")
     c = lam.reshape(shape[0], -1, 4).sum(axis=(0, 1))
-    b = np.zeros(G.shape[-1] - 2)
+    b = np.zeros(G.shape[-1] - slots)
     for r, (_, j) in enumerate(basis.elements):
         if j == 1:
-            b[2 * r] = 1.0
+            b[slots * r] = 1.0
+    # the first slots rows and columns belong to the constant function 1
     steps = tuple(
-        GramSystem(G=G[i, 2:, 2:], w=G[i, 0, 2:], b=np.zeros_like(b), c0=float(dc))
+        GramSystem(G=G[i, slots:, slots:], w=G[i, 0, slots:], b=np.zeros_like(b), c0=float(dc))
         for i, dc in ((1, c[0] - c[1] + c[2] - c[3]), (2, 2.0 * (c[0] - c[2])))
     )
-    return GramSystem(G=G[0, 2:, 2:], w=G[0, 0, 2:], b=b, c0=float(lam.sum()), steps=steps)
+    return GramSystem(
+        G=G[0, slots:, slots:], w=G[0, 0, slots:], b=b, c0=float(lam.sum()), steps=steps
+    )
 
 
 def _back_substitute(U, Y):
@@ -336,10 +365,11 @@ def bounds_sequence(R, kmax, N=None, S_override=None):
     """Bound rows for k = 1..kmax from a single boundary trace.
 
     The kmax Gram is assembled and factored once per trace.  In the
-    order-major basis the span for k is the first 2|S|k real slots, so row
-    k reads the prefix sums of the two half-solves at slot 2|S|k - 1.  certified is the
-    condition test of the kmax Gram, which bounds every row's leading block,
-    together with quad_error <= QUAD_TOL.
+    order-major basis the span for k is the first slots |S| k real slots,
+    with slots per element read off the Gram's size, so row k reads the
+    prefix sums of the two half-solves at slot slots |S| k - 1.  certified is
+    the condition test of the kmax Gram, which bounds every row's leading
+    block, together with quad_error <= QUAD_TOL.
 
     An explicit N is used as given.  N=None traces at the automatic
     resolution and, while the Gram passes its condition test but quad_error
@@ -349,9 +379,10 @@ def bounds_sequence(R, kmax, N=None, S_override=None):
     kmax = int(kmax)
     sampling = trace(R, N=N)
     basis = enumerate_basis(R, kmax, S_override=S_override)
-    sizes = 2 * basis.S.size * np.arange(1, kmax + 1)
     while True:
         gram = assemble_gram(sampling, basis)
+        slots = gram.G.shape[0] // len(basis.elements)
+        sizes = slots * basis.S.size * np.arange(1, kmax + 1)
         (yw, yb), conditioned, L, d = _solve_spd(gram.G, [gram.w, gram.b])
         quad_error = _quad_error(gram, L, d, yw, yb, sizes)
         escalate = N is None and conditioned and quad_error > QUAD_TOL

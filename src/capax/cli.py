@@ -302,6 +302,8 @@ def run(job, command):
     )
     if command == "check":
         sys.stdout.write(report)
+        if job.out:
+            _emit(report, job.out)
         return 0
     if command == "trace":
         sampling = boundary.trace(job.map, N=job.nodes)

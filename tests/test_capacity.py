@@ -1,5 +1,6 @@
 """Gram assembly, two-sided capacity bounds, and extremality verdicts."""
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -54,15 +55,18 @@ def test_enumerate_basis_order():
 
 
 def test_disk_gram_structure():
+    # a real disk has one real slot per element, a complex pole's disk the
+    # real and imaginary slots
     a = 0.6
-    R = disk_map(a)
-    sampling = boundary.trace(R, N=256)
-    gram = capacity.assemble_gram(sampling, capacity.enumerate_basis(R, 1))
-    assert gram.G.shape == (2, 2)
-    assert np.allclose(gram.G, np.diag([1 / a, 1 / a]), atol=1e-12)
-    assert np.max(np.abs(gram.w)) < 1e-12
-    assert np.allclose(gram.b, [1.0, 0.0])
-    assert abs(gram.c0 - a) < 1e-12
+    for p, slots in ((0j, 1), (0.2 - 0.7j, 2)):
+        R = disk_map(a, p)
+        sampling = boundary.trace(R, N=256)
+        gram = capacity.assemble_gram(sampling, capacity.enumerate_basis(R, 1))
+        assert gram.G.shape == (slots, slots)
+        assert np.allclose(gram.G, np.eye(slots) / a, atol=1e-12)
+        assert np.max(np.abs(gram.w)) < 1e-12
+        assert np.allclose(gram.b, [1.0, 0.0][:slots])
+        assert abs(gram.c0 - a) < 1e-12
 
 
 def test_disk_bounds_equal_radius():
@@ -290,17 +294,64 @@ def test_gram_matches_plain_assembly(example, kmax, degree16_sampling):
     gram = capacity.assemble_gram(sampling, basis)
     G, w, c0 = _reference_gram(sampling, basis)
     d = np.sqrt(np.diag(G))
+    # a real map's system keeps the real slots of the reference only; the
+    # reference's real-imaginary coupling vanishes there, on every grid
+    slots = gram.G.shape[0] // len(basis.elements)
+    keep = slice(None) if slots == 2 else slice(0, None, 2)
+    coarser = [_reference_gram(sampling, basis, every) for every in (2, 4)]
+    if slots == 1:
+        ds = d[1::2]
+        for Gr, wr, _ in [(G, w, c0)] + coarser:
+            assert (np.abs(Gr[0::2, 1::2]) / np.outer(d[0::2], ds)).max() <= 1e-13
+            assert (np.abs(wr[1::2]) / ds).max() <= 1e-13
+    G, w, d = G[keep, keep], w[keep], d[keep]
     assert (np.abs(gram.G - G) / np.outer(d, d)).max() <= 1e-13
     assert (np.abs(gram.w - w) / d).max() <= 1e-13
     assert gram.c0 == c0
     assert np.array_equal(gram.G, gram.G.T)
     # the steps are the changes from grid N to N/2 and from N/2 to N/4
-    coarser = [_reference_gram(sampling, basis, every) for every in (2, 4)]
+    coarser = [(Gr[keep, keep], wr[keep], cr) for Gr, wr, cr in coarser]
     for step, fine, coarse in zip(gram.steps, [(G, w, c0)] + coarser, coarser):
         assert (np.abs(step.G - (coarse[0] - fine[0])) / np.outer(d, d)).max() <= 1e-13
         assert (np.abs(step.w - (coarse[1] - fine[1])) / d).max() <= 1e-13
         assert abs(step.c0 - (coarse[2] - fine[2])) <= 1e-13 * c0
         assert not step.b.any()
+
+
+@pytest.mark.parametrize(
+    "R, S, slots",
+    [
+        *[pytest.param(lambda k=k: example_map(k), None, 1, id=f"example{k}") for k in (1, 2, 3)],
+        pytest.param(lambda: example_map(1), [-1.0 + 0.05j, 1.0], 2, id="example1-complex-S"),
+        *[pytest.param(lambda k=k: example_map(k), None, 2, id=f"example{k}") for k in (4, 5, 6)],
+    ],
+)
+def test_gram_slots_per_element(R, S, slots):
+    # one real slot per element only on conjugate-symmetric nodes with a
+    # real S; every other system keeps the real and imaginary slots
+    R = R()
+    basis = capacity.enumerate_basis(R, 3, S_override=S)
+    gram = capacity.assemble_gram(boundary.trace(R), basis)
+    size = slots * len(basis.elements)
+    assert gram.G.shape == (size, size) and gram.w.shape == gram.b.shape == (size,)
+    assert all(step.G.shape == (size, size) for step in gram.steps)
+
+
+@pytest.mark.parametrize("example", [1, 3])
+def test_real_slots_give_the_rows_of_both_slots(example, monkeypatch):
+    # the same conjugate-symmetric nodes, assembled with both slots per
+    # element: the imaginary slots add nothing, so the rows agree to roundoff
+    R = example_map(example)
+    kmax = max(REFERENCE_BOUNDS[example])
+    real = capacity.bounds_sequence(R, kmax)
+    trace = capacity.trace
+    monkeypatch.setattr(
+        capacity, "trace",
+        lambda R, N=None: dataclasses.replace(trace(R, N), conjugate_symmetric=False),
+    )
+    both = capacity.bounds_sequence(R, kmax)
+    assert real.certified and both.certified and real.N == both.N
+    assert np.abs(np.array(real.rows) - np.array(both.rows)).max() <= 1e-13
 
 
 def test_gram_assembly_holds_one_basis_matrix(degree16_sampling):
@@ -357,13 +408,14 @@ def _per_k_rows(R, kmax):
     basis = capacity.enumerate_basis(R, kmax)
     gram = capacity.assemble_gram(boundary.trace(R), basis)
     elems, n = basis.elements, basis.S.size
+    slots = gram.G.shape[0] // len(elems)
     pole_major = sorted(range(len(elems)), key=lambda r: (r % n, r))
     rows, certified = [], True
     for k in range(1, kmax + 1):
         keep = [r for r in pole_major if elems[r][1] <= k]
-        slots = np.array([s for r in keep for s in (2 * r, 2 * r + 1)])
-        w, b = gram.w[slots], gram.b[slots]
-        (xw, xb), cert = _per_k_solve(gram.G[np.ix_(slots, slots)], [w, b])
+        idx = np.array([s for r in keep for s in range(slots * r, slots * (r + 1))])
+        w, b = gram.w[idx], gram.b[idx]
+        (xw, xb), cert = _per_k_solve(gram.G[np.ix_(idx, idx)], [w, b])
         rows.append((k, float(b @ xb), float(gram.c0 - w @ xw)))
         certified &= cert
     return rows, certified
@@ -416,7 +468,8 @@ def test_one_factorization_per_bound_sequence(example, kmax, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     capacity.bounds_sequence(example_map(example), kmax, N=1024)
-    assert calls == [(4 * kmax, 4 * kmax)]
+    # two real poles: one real slot per element
+    assert calls == [(2 * kmax, 2 * kmax)]
 
 
 def test_traced_poles_are_not_wound_again(monkeypatch):

@@ -87,6 +87,15 @@ def test_check_exit_codes(capsys):
     assert "not-good" in err
 
 
+def test_check_writes_its_report_to_out(tmp_path, capsys):
+    # like verdict, check prints its report and writes it to --out too
+    out = tmp_path / "report.txt"
+    assert main(["check", "--map", GOOD_TEXT, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "goodness: good" in printed
+    assert out.read_text(encoding="utf-8") == printed
+
+
 @pytest.mark.parametrize(
     "var, value", [("CAPAX_BACKEND", "numba"), ("CAPAX_THREADS", "-1")]
 )
