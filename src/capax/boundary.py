@@ -17,12 +17,17 @@ does not settle goes to the eigensolver like any other.
 One walk (_order_chain) then puts all N rows in order: from the first row it
 matches every hop over the raw rows at their grid times in one batch, in the
 solver's raw root order, by nearest neighbor with a factor-2 stability margin,
-and composes the hop permutations.  A failed hop is bisected: its midpoint is
-solved warm from the hop's left row, and only a half that still fails
-is bisected again, down to a width at roundoff, before giving up.  The walk
-closes on the first row at ts[0] + 2pi, where it must come back unpermuted.
-Warm starts only save iterations: every row is matched as a raw root set, and
-each row is solved independently of its batch.
+and composes the hop permutations.  It checks solver order first: a hop
+whose every root's nearest new root keeps its index, with the margin, is the
+identity, and only the other hops take the argmin rule (53 of the 131157
+hops that the 32 near-marginal benchmark maps match).  A failed hop is
+bisected: its midpoint is solved warm from the hop's left row, and only a
+half that still fails is bisected again, down to a width at roundoff, before
+giving up.  The walk closes on the first row at ts[0] + 2pi, where it must
+come back unpermuted.  Warm starts only save iterations: every row is
+matched as a raw root set, and each row is solved independently of its
+batch.  The windings that pair curves with poles look only at the polygon
+edges that cross a pole's horizontal line.
 
 A real map, every residue and pole with imaginary part exactly 0, has
 R(conj z) = conj R(z), so the roots at 2pi - t are the conjugates of the
@@ -109,11 +114,38 @@ def _match_rows(prev, new):
     Returns (perm, ok).  ok[m] is False unless row m's assignment is
     injective and every nearest distance beats the second-nearest by
     STABILITY_RATIO.  Each row of a distance matrix is judged on its own, so
-    reordering prev[m] only reorders perm[m].
+    reordering prev[m] only reorders perm[m].  All rows are checked in
+    solver order first; only the rows where that check fails go through
+    the argmin rule of _nearest_rows, and every row gets the perm and ok
+    that rule would give it.
     """
-    # roots-major (n, n, M): D[j, i, m] = |new[m, j] - prev[m, i]|, so the
-    # argmin, scatter and min over j run over leading axes
-    D = np.abs(np.ascontiguousarray(new.T)[:, None, :] - np.ascontiguousarray(prev.T))
+    M, n = prev.shape
+    D = _distances(prev, new)
+    # solver order first: root i keeps index i when every other new root is
+    # farther than new[i] and at least STABILITY_RATIO times as far; that is
+    # exactly when the rule below returns the identity and accepts it
+    Df = D.reshape(n * n, M)
+    d = Df[:: n + 1].copy()
+    Df[:: n + 1] = np.inf
+    other = D.min(axis=0)
+    stay = ((other > d) & (other >= STABILITY_RATIO * d)).all(axis=0)
+    perm, ok = np.tile(np.arange(n), (M, 1)), np.ones(M, dtype=bool)
+    rest = np.flatnonzero(~stay)
+    if rest.size:
+        perm[rest], ok[rest] = _nearest_rows(prev[rest], new[rest])
+    return perm, ok
+
+
+def _distances(prev, new):
+    """Roots-major (n, n, M) distances D[j, i, m] = |new[m, j] - prev[m, i]|,
+    so that every min over j runs over the leading axis."""
+    return np.abs(np.ascontiguousarray(new.T)[:, None, :] - np.ascontiguousarray(prev.T))
+
+
+def _nearest_rows(prev, new):
+    """_match_rows' rule for any batch: each root's nearest new root, then
+    the injectivity and stability tests."""
+    D = _distances(prev, new)
     perm = D.argmin(axis=0)
     hit = np.zeros(perm.shape, dtype=bool)
     np.put_along_axis(hit, perm, True, axis=0)
@@ -176,7 +208,9 @@ def _order_chain(Z, ts, solver):
     Every hop is matched in raw solver order at once; only the hops that
     fail go to _refine_gap.  The composed hop permutations order every row
     like Z[0], and the closing one must be the identity.  Returns the
-    ordered (N, n) array; raises TrackingAmbiguity on irreparable ambiguity
+    ordered (N, n) array, Z itself when no hop moves a root (on the
+    benchmark bank, no trace's hop does); raises TrackingAmbiguity on
+    irreparable ambiguity
     and ComponentCountMismatch when the walk comes back permuted.
     """
     W = np.roll(Z, -1, axis=0)
@@ -186,6 +220,8 @@ def _order_chain(Z, ts, solver):
         perm[b], ok[b] = _match_rows(Z[b], W[b])
     for i in np.flatnonzero(~ok):
         perm[i] = _refine_gap(Z[i], ts[i], tw[i], W[i], solver)
+    if (perm == np.arange(Z.shape[1])).all():
+        return Z  # no hop moves a root: the raw rows are already in order
     C = _compose(perm)
     if np.any(C[-1] != np.arange(Z.shape[1])):
         raise ComponentCountMismatch(
@@ -209,13 +245,19 @@ def _windings(z_curve, points):
     """Winding numbers of the closed polygon through the nodes z_curve about
     each of points: the signed crossings of the ray to the right of each
     point, an edge counting when it goes up through the ray's line with the
-    point on its left, or down with the point on its right."""
-    a = z_curve[:, None] - np.asarray(points)
-    b = np.roll(a, -1, axis=0)
+    point on its left, or down with the point on its right.  Only the edges
+    whose ends lie on opposite sides of a point's line are looked at; a
+    closed curve crosses each line a few times, not N."""
+    points, N = np.asarray(points), len(z_curve)
+    above = (z_curve.imag - points.imag[:, None]) > 0  # [k, e]: Im(z_e - point_k) > 0
+    k, e = divmod(np.flatnonzero(above != np.roll(above, -1, axis=1)), N)
+    a = z_curve[e] - points[k]
+    b = z_curve[(e + 1) % N] - points[k]
     left = a.real * b.imag - a.imag * b.real  # > 0: the point is left of a -> b
-    up = (a.imag <= 0) & (b.imag > 0) & (left > 0)
-    down = (a.imag > 0) & (b.imag <= 0) & (left < 0)
-    return up.sum(axis=0) - down.sum(axis=0)
+    up = ~above[k, e] & (left > 0)
+    down = above[k, e] & (left < 0)
+    P = points.size
+    return np.bincount(k[up], minlength=P) - np.bincount(k[down], minlength=P)
 
 
 def trace(R, N=None):
@@ -291,8 +333,9 @@ def _trace(R, N):
     # no pole-proximity guard (pf_rows_ok fails a root at a pole)
     speed = np.empty(Z.shape)
     for b in numerics._row_blocks(N, n):
-        inv = 1.0 / (Z[b, :, None] - R.poles)
-        speed[b] = 1.0 / np.abs(np.square(inv, out=inv) @ R.residues)
+        inv = np.subtract(Z[b].reshape(-1, 1), R.poles)  # one flat (rows * n, n) product
+        np.divide(1.0, inv, out=inv)
+        speed[b] = (1.0 / np.abs(np.square(inv, out=inv) @ R.residues)).reshape(-1, n)
     curves = []
     for c in range(n):
         w = _windings(Z[:, c], R.poles)

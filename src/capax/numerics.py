@@ -7,6 +7,10 @@ and falls back to one batched eigensolve of diag(p) + a 1^T/w.  Every
 accepted row passes one residual check (pf_rows_ok), the only place that
 accepts a root of R(z) = w; no caller checks it again.  It takes its rows in
 blocks of _row_blocks, as trace's other per-row passes over n x n tensors do.
+aberth_rows runs each step in place in two (n, n, rows) buffers, with one
+reciprocal per root pair and every complex product in a fixed operand order,
+so that its roots are bit-identical to those of the dense formulation (the
+(n, n, rows) gap tensor with an infinite diagonal) that the tests keep.
 
 The polynomial helpers serve only ratmap.critical_data: it builds the
 critical numerator with poly_from_roots, trims it with poly_trim, and finds
@@ -26,7 +30,9 @@ from .errors import NonConvergence
 
 DEFAULT_ROOT_TOL = 1e-12
 
-# two computed roots closer than this may legitimately be one multiple root
+# two computed roots closer than this, relative to the poles' diameter
+# max|p_j - p_k|, may legitimately be one multiple root; relative, so that
+# moving or scaling a map by z -> a z + b moves no row to the eigensolver
 CLUSTER_SEP = 1e-8
 
 # aberth_rows: a row is frozen once every root's step is below this, relative
@@ -46,6 +52,12 @@ def _row_blocks(M, n):
     """Slices of about _BLOCK_ENTRIES / n^2 rows that cover M rows."""
     rows = max(1, _BLOCK_ENTRIES // n**2)
     return [slice(s, s + rows) for s in range(0, M, rows)]
+
+
+def _pairs(n):
+    """The index pairs (k, i), k < i < n, in row-major order (np.triu_indices
+    at a fifth of its cost, which single-row solves pay on every call)."""
+    return np.nonzero(np.arange(n)[:, None] < np.arange(n))
 
 
 def poly_trim(c, rel=0.0):
@@ -110,45 +122,71 @@ def aberth_rows(a, p, ws, Z0):
     A row's result does not depend on the other rows of the batch.  The roots
     are held transposed, rows last, so every elementwise pass runs along the
     batch and every sum over poles or roots is a fixed-order sum over the
-    leading axis.  Products with a temporary are taken in place, because
-    numpy may swap the operands of a product with a large temporary, and a
-    complex product is not bitwise commutative.
+    leading axis.  A step runs in place in two (n, n, rows) buffers allocated
+    once per call.  While every row is live the roots are updated where they
+    lie; only a step that freezes rows compacts the live ones.  The
+    repulsion sum takes one reciprocal per root pair, 1/(z_i - z_k) for
+    k < i, and its negation for the mirror 1/(z_k - z_i): numpy's complex
+    division gives 1/(-x) == -(1/x) bit for bit whenever the result is
+    finite.  Every complex product keeps its operand order, since numpy's
+    complex multiply is not bitwise commutative: no product is written as
+    x * (temporary), which numpy may evaluate in place with the operands
+    swapped.
 
     Returns (Z, done): done[r] is true when row r was frozen within
     _ABERTH_ITERS steps.  A root whose step is not finite (it met a pole or
     another root, or R' overflowed) stays where it is, and its row is never
     frozen.
     """
-    n = p.size
-    Zt = np.array(np.broadcast_to(Z0, (len(ws), n)).T, dtype=np.complex128, order="C")
-    done = np.zeros(len(ws), dtype=bool)
-    live = np.arange(len(ws))
-    diag = np.arange(n)
+    n, M = p.size, len(ws)
+    Zt = np.array(np.broadcast_to(Z0, (M, n)).T, dtype=np.complex128, order="C")
+    done = np.zeros(M, dtype=bool)
+    live, z, w = np.arange(M), Zt, ws
+    # the two (n, n, live) tensors are C-ordered prefixes of these buffers
+    buf = np.empty((2, n * n * M), dtype=np.complex128)
+    k, i = _pairs(n)
+    upper, lower = k * n + i, i * n + k
     a3, p3 = a[:, None, None], p[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ABERTH_ITERS):
-            z = Zt.take(live, axis=1)
-            inv = 1.0 / (z - p3)  # [j, i, m] = 1/(z_im - p_j)
-            ainv = inv * a3
-            g = ainv.sum(axis=0) - ws[live]  # R - w
-            ainv *= inv
+            L = z.shape[1]
+            inv, t = buf[:, : n * n * L].reshape(2, n, n, L)
+            np.subtract(z, p3, out=inv)
+            np.divide(1.0, inv, out=inv)  # [j, i, m] = 1/(z_im - p_j)
+            np.multiply(inv, a3, out=t)
+            g = t.sum(axis=0)
+            g -= w  # R - w
+            t *= inv
             den = inv.sum(axis=0)  # Q'/Q
             den *= g
-            den -= ainv.sum(axis=0)  # + R'
+            den -= t.sum(axis=0)  # + R'
             newton = g / den
-            gap = z - z[:, None]  # [k, i, m] = z_im - z_km
-            gap[diag, diag] = np.inf
-            near = (1.0 / gap).sum(axis=0)
+            # t[k, i, m] = 1/(z_im - z_km): one reciprocal per pair k < i,
+            # negated for its mirror, and 0 on the diagonal
+            pair, zk = buf[:, : k.size * L].reshape(2, k.size, L)
+            np.take(z, i, axis=0, out=pair, mode="clip")
+            pair -= np.take(z, k, axis=0, out=zk, mode="clip")
+            np.divide(1.0, pair, out=pair)
+            tf = t.reshape(n * n, L)
+            tf[upper] = pair
+            tf[lower] = np.negative(pair, out=pair)
+            tf[:: n + 1] = 0.0
+            near = t.sum(axis=0)
             step = newton / (1.0 - newton * near)
             small = np.abs(step) <= _ABERTH_STEP_REL * np.abs(z)
             step[~np.isfinite(step)] = 0.0
             z -= step
-            Zt[:, live] = z
             settled = small.all(axis=0)
-            done[live[settled]] = True
-            live = live[~settled]
-            if not live.size:
-                break
+            if settled.any():
+                done[live[settled]] = True
+                if z is not Zt:
+                    Zt[:, live[settled]] = z[:, settled]
+                keep = ~settled
+                live, z, w = live[keep], z[:, keep], w[keep]
+                if not live.size:
+                    break
+        if z is not Zt:
+            Zt[:, live] = z
     return Zt.T.copy(), done
 
 
@@ -166,7 +204,8 @@ def pf_rows_ok(a, p, ws, Z):
     along the leading axis, so rows do not depend on their batch.  A root
     at a pole fails, and so does a root whose scale overflows."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = a[:, None, None] / (Z.T - p[:, None, None])  # [j, i, m]: a_j/(z_im - p_j)
+        t = np.subtract(Z.T, p[:, None, None])
+        np.divide(a[:, None, None], t, out=t)  # [j, i, m]: a_j/(z_im - p_j)
         at = np.abs(t)
         scale = at.sum(axis=0)
         u = at * (1.0 / np.abs(a))[:, None, None]  # 1/|z - p_j|
@@ -191,19 +230,21 @@ def solve_pf_rows(a, p, ws, Z0=None):
     aberth_rows starts at Z0 (one row for all, or one per w) or at the
     first-order roots p_j + a_j/w near the poles; a frozen Aberth root is
     already at roundoff.  A row that does not freeze, fails pf_rows_ok, or
-    has two roots within CLUSTER_SEP gets the eigenvalues of _pf_eigvals
-    polished by aberth_rows, and passes on pf_rows_ok alone: near-double
-    roots never freeze.  Rows go through all of this in blocks of
-    _row_blocks, and each row is solved independently of the others.
+    has two roots within CLUSTER_SEP times the pole diameter gets the
+    eigenvalues of _pf_eigvals polished by aberth_rows, and passes on
+    pf_rows_ok alone: near-double roots never freeze.  Rows go through all
+    of this in blocks of _row_blocks, and each row is solved independently
+    of the others.
     """
     Z0 = np.broadcast_to(p + a / ws[:, None] if Z0 is None else Z0, (len(ws), p.size))
     Z, ok = np.empty(Z0.shape, dtype=np.complex128), np.empty(len(ws), dtype=bool)
-    i, j = np.triu_indices(p.size, 1)
+    i, j = _pairs(p.size)
+    sep = CLUSTER_SEP * np.abs(p[i] - p[j]).max(initial=0.0)
     for b in _row_blocks(len(ws), p.size):
         w = ws[b]
         Zb, done = aberth_rows(a, p, w, Z0[b])
         okb = done & pf_rows_ok(a, p, w, Zb)
-        okb &= (np.abs(Zb[:, i] - Zb[:, j]) >= CLUSTER_SEP).all(axis=1)
+        okb &= (np.abs(Zb[:, i] - Zb[:, j]) >= sep).all(axis=1)
         redo = np.flatnonzero(~okb)
         if redo.size:
             Zb[redo] = aberth_rows(a, p, w[redo], _pf_eigvals(a, p, w[redo]))[0]
@@ -217,7 +258,7 @@ def roots(c, tol=DEFAULT_ROOT_TOL):
 
     Companion-matrix eigenvalues of the monic polynomial, Newton-polished.
     Multiple or clustered roots come back as nearly repeated values; no
-    deflation is attempted below a separation of CLUSTER_SEP.
+    deflation is attempted.
 
     Raises NonConvergence when any root r misses the documented residual
     bound |p(r)| <= tol * (1 + max|p|) * (1 + |r|)^deg.

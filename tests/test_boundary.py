@@ -579,6 +579,37 @@ def test_windings_count_signed_crossings():
     assert boundary._windings(np.tile(diamond, 2), points).tolist() == [2 * e for e in expect]
 
 
+def _dense_windings(z_curve, points):
+    """The dense crossing count over every (edge, point) pair, kept as the
+    reference for _windings, which looks only at the crossing edges."""
+    a = z_curve[:, None] - np.asarray(points)
+    b = np.roll(a, -1, axis=0)
+    left = a.real * b.imag - a.imag * b.real
+    up = (a.imag <= 0) & (b.imag > 0) & (left > 0)
+    down = (a.imag > 0) & (b.imag <= 0) & (left < 0)
+    return up.sum(axis=0) - down.sum(axis=0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_windings_match_the_dense_count(seed):
+    # random closed polygons, self-crossing ones included, about points
+    # inside and outside their bounding box and about points level with a
+    # vertex (on the vertex, on its left and on its right)
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(3, 300))
+    z = np.cumsum(rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    if seed % 2:
+        z = np.round(z * 4) / 4  # shared heights and repeated vertices
+    x0, x1, y0, y1 = z.real.min(), z.real.max(), z.imag.min(), z.imag.max()
+    inside = rng.uniform(x0, x1, 40) + 1j * rng.uniform(y0, y1, 40)
+    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+    outside = np.array([x1 + 1 + 1j * cy, x0 - 1 + 1j * cy, cx + 1j * (y1 + 1), cx + 1j * (y0 - 1)])
+    level = z[rng.integers(0, N, 8)]
+    points = np.concatenate([inside, outside, level, level - 0.5, level + 0.5])
+    assert np.array_equal(boundary._windings(z, points), _dense_windings(z, points))
+    assert np.array_equal(boundary._windings(z, list(points[:3])), _dense_windings(z, points[:3]))
+
+
 def test_trace_memory_stays_flat_in_the_rows():
     # n = 64: one (N, n, n) complex tensor alone is 16.8 MB at N = 256, so
     # the per-node passes must run in row blocks
@@ -629,14 +660,52 @@ def test_match_rows_rejects_only_the_bad_rows():
             assert perm[m].tolist() == expect
 
 
-@pytest.mark.parametrize("R", [*TRACE_MAPS, pytest.param(None, id="table")])
-def test_match_rows_decides_like_a_row_loop(R):
+def _mixed_hops(n, M=400):
+    """Hops of M random root sets that mostly keep solver order: 40 new rows
+    are shuffled and in 40 others a root sits midway between two old ones.
+    For n = 2 the table rows and exact ties follow: a new root shared, a
+    double root kept, the same set again, and the stability ratio met
+    exactly."""
+    rng = np.random.default_rng(n)
+    prev = rng.standard_normal((M, n)) + 1j * rng.standard_normal((M, n))
+    new = prev + 1e-3 * (rng.standard_normal((M, n)) + 1j * rng.standard_normal((M, n)))
+    moved = rng.choice(M, 80, replace=False)
+    for m in moved[:40]:
+        new[m] = new[m, rng.permutation(n)]
+    for m in moved[40:]:
+        new[m, 0] = 0.5 * (prev[m, 0] + prev[m, -1])
+    if n == 2:
+        table_prev, table_new = _table_hops()
+        prev = np.concatenate([prev, table_prev, [[0, 1], [0, 0], [0, 1], [0, 100], [0, -3]]])
+        new = np.concatenate([new, table_new, [[0, 0], [0, 0], [0, 1], [1, -2], [1, -2]]])
+    return prev, new
+
+
+@pytest.mark.parametrize("R", [
+    *TRACE_MAPS,
+    pytest.param(None, id="table"),
+    *[pytest.param(n, id=f"mixed-n{n}") for n in (1, 2, 3, 7)],
+])
+def test_match_rows_decides_like_a_row_loop(monkeypatch, R):
     if R is None:
         prev, new = _table_hops()
+    elif isinstance(R, int):
+        prev, new = _mixed_hops(R)
     else:  # every hop of the raw cold rows at the default N, closing one too
         prev = _chain_inputs(R(), boundary.DEFAULT_N)[0]
         new = np.roll(prev, -1, axis=0)
+    ruled = []
+    rule = boundary._nearest_rows
+
+    def recording(prev, new):
+        ruled.append(len(prev))
+        return rule(prev, new)
+
+    monkeypatch.setattr(boundary, "_nearest_rows", recording)
     perm, ok = boundary._match_rows(prev, new)
     expect = [_row_match(a, b) for a, b in zip(prev, new)]
     assert np.array_equal(perm, [e[0] for e in expect])
     assert ok.tolist() == [e[1] for e in expect]
+    # the argmin rule sees only the rows that do not keep solver order stably
+    kept = [e[1] and (e[0] == np.arange(prev.shape[1])).all() for e in expect]
+    assert sum(ruled) == len(kept) - sum(kept)

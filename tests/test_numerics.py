@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from capax import boundary, numerics
+from capax import boundary, numerics, ratmap
+from capax.capacity import bounds_sequence
 from capax.cli import example_map, parse_map
 from capax.errors import NonConvergence
 from capax.ratmap import RationalMapPF, evaluate, is_n_good, preimages
@@ -290,3 +291,84 @@ def test_aberth_rows_do_not_depend_on_the_batch(R, warm):
     for r in range(0, 4096, 331):
         Zr, okr = solver(ws[r : r + 1], Z0)
         assert np.array_equal(Zr[0], Z[r]) and okr[0] == ok[r]
+
+
+def _dense_aberth_rows(a, p, ws, Z0):
+    """The dense formulation of aberth_rows, kept as its bit-for-bit
+    reference: a fresh (n, n, live) tensor per pass, the gap tensor with an
+    infinite diagonal, and a take and scatter of the live rows every step."""
+    n = p.size
+    Zt = np.array(np.broadcast_to(Z0, (len(ws), n)).T, dtype=np.complex128, order="C")
+    done = np.zeros(len(ws), dtype=bool)
+    live = np.arange(len(ws))
+    diag = np.arange(n)
+    a3, p3 = a[:, None, None], p[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(numerics._ABERTH_ITERS):
+            z = Zt.take(live, axis=1)
+            inv = 1.0 / (z - p3)
+            ainv = inv * a3
+            g = ainv.sum(axis=0) - ws[live]
+            ainv *= inv
+            den = inv.sum(axis=0)
+            den *= g
+            den -= ainv.sum(axis=0)
+            newton = g / den
+            gap = z - z[:, None]
+            gap[diag, diag] = np.inf
+            near = (1.0 / gap).sum(axis=0)
+            step = newton / (1.0 - newton * near)
+            small = np.abs(step) <= numerics._ABERTH_STEP_REL * np.abs(z)
+            step[~np.isfinite(step)] = 0.0
+            z -= step
+            Zt[:, live] = z
+            settled = small.all(axis=0)
+            done[live[settled]] = True
+            live = live[~settled]
+            if not live.size:
+                break
+    return Zt.T.copy(), done
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+@pytest.mark.parametrize("start", ["cold", "warm", "mixed"])
+def test_aberth_rows_match_the_dense_formulation(n, start):
+    # mixed: rows started at their roots freeze at the first step, cold rows
+    # later; row 0 starts a root on a pole and row 1 two roots at one point,
+    # so their steps are not finite and they never freeze.  1100 rows put the
+    # (n, live) vectors of n = 16 above numpy's 256 KiB temporary-elision
+    # size, where an operand swap would show.
+    rng = np.random.default_rng(n)
+    a = rng.uniform(0.1, 1.0, n) * np.exp(2j * np.pi * rng.random(n)) / n
+    p = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+    ws = np.exp(2j * np.pi * np.arange(1100) / 1100)
+    cold = p + a / ws[:, None]
+    if start == "cold":
+        Z0 = cold
+    elif start == "warm":
+        Z0 = numerics.aberth_rows(a, p, ws[:1], cold[:1])[0][0]  # one row for all
+    else:
+        Z0 = cold.copy()
+        Z0[::3] = numerics.aberth_rows(a, p, ws[::3], cold[::3])[0]
+        Z0[0, 0] = p[0]
+        if n > 1:
+            Z0[1, 1] = Z0[1, 0]
+    Z, done = numerics.aberth_rows(a, p, ws, Z0)
+    Zd, doned = _dense_aberth_rows(a, p, ws, Z0)
+    assert Z.tobytes() == Zd.tobytes() and np.array_equal(done, doned)
+    if start == "mixed":
+        assert done[3::3].all() and not done[: min(n, 2)].any()
+        assert Z[0, 0] == p[0]  # a root on a pole stays there
+
+
+def test_cluster_check_is_scale_free(monkeypatch):
+    # example 1 shrunk to poles +-1e-9: its roots are 1e-9 apart, yet no row
+    # is clustered, and the bounds are example 1's times 1e-9
+    fallback = _counting_eigensolve(monkeypatch)
+    R = example_map(1)
+    small = ratmap.affine_conjugate(R, 1e9, 0)
+    b = bounds_sequence(small, 5)
+    assert fallback == [] and b.certified
+    ref = bounds_sequence(R, 5)
+    got, expect = np.array(b.rows)[:, 1:], 1e-9 * np.array(ref.rows)[:, 1:]
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
