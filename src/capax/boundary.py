@@ -11,23 +11,27 @@ kernel (the one iteration for every row) with an eigensolver fallback.  Its
 residual check, numerics.pf_rows_ok, is the one test a node passes: a row it
 rejects raises NonConvergence, and no later pass checks a node again.  Every
 S-th node (S = min(8, N/64): 2 at N = 128, 8 from N = 512) is an anchor,
-solved cold from the poles.  Each node between two anchors is solved warm from
-a tangent predictor off its left anchor's raw roots; a row the warm iteration
-does not settle goes to the eigensolver like any other.
+solved cold from second-order starts near the poles (numerics._cold_start).
+Each node between two anchors is solved warm from the second-order Taylor
+step z + h z' + (h^2/2) z'' off its left anchor's raw roots, with z' and z''
+from R(z(t)) = e^{it} and the R' and R'' of the anchor's reciprocals
+1/(z - p); a row the warm iteration does not settle goes to the eigensolver
+like any other.
 One walk (_order_chain) then puts all N rows in order: from the first row it
 matches every hop over the raw rows at their grid times in one batch, in the
 solver's raw root order, by nearest neighbor with a factor-2 stability margin,
 and composes the hop permutations.  It checks solver order first: a hop
 whose every root's nearest new root keeps its index, with the margin, is the
-identity, and only the other hops take the argmin rule (53 of the 131157
+identity, and only the other hops take the argmin rule (63 of the 131157
 hops that the 32 near-marginal benchmark maps match).  A failed hop is
 bisected: its midpoint is solved warm from the hop's left row, and only a
 half that still fails is bisected again, down to a width at roundoff, before
 giving up.  The walk closes on the first row at ts[0] + 2pi, where it must
 come back unpermuted.  Warm starts only save iterations: every row is
 matched as a raw root set, and each row is solved independently of its
-batch.  The windings that pair curves with poles look only at the polygon
-edges that cross a pole's horizontal line.
+batch.  The windings that pair curves with poles are one pass over all
+curves and poles, and look only at the polygon edges that cross a pole's
+horizontal line.
 
 A real map, every residue and pole with imaginary part exactly 0, has
 R(conj z) = conj R(z), so the roots at 2pi - t are the conjugates of the
@@ -241,23 +245,32 @@ def _solve_grid(solver, ts, Z0=None):
     return Z
 
 
-def _windings(z_curve, points):
-    """Winding numbers of the closed polygon through the nodes z_curve about
-    each of points: the signed crossings of the ray to the right of each
-    point, an edge counting when it goes up through the ray's line with the
-    point on its left, or down with the point on its right.  Only the edges
-    whose ends lie on opposite sides of a point's line are looked at; a
-    closed curve crosses each line a few times, not N."""
-    points, N = np.asarray(points), len(z_curve)
-    above = (z_curve.imag - points.imag[:, None]) > 0  # [k, e]: Im(z_e - point_k) > 0
-    k, e = divmod(np.flatnonzero(above != np.roll(above, -1, axis=1)), N)
-    a = z_curve[e] - points[k]
-    b = z_curve[(e + 1) % N] - points[k]
-    left = a.real * b.imag - a.imag * b.real  # > 0: the point is left of a -> b
-    up = ~above[k, e] & (left > 0)
-    down = above[k, e] & (left < 0)
+def _windings(Z, points):
+    """Winding numbers W[c, k] of the closed polygon through the node row
+    Z[c] about points[k], for every curve of the (curves, N) array Z in one
+    pass: the signed crossings of the ray to the right of each point, an
+    edge counting when it goes up through the ray's line with the point on
+    its left, or down with the point on its right.  Only the edges whose
+    ends lie on opposite sides of a point's line are looked at; a closed
+    curve crosses each line a few times, not N.  The curves go in blocks of
+    about numerics._BLOCK_ENTRIES (curve, point, node) entries, one block at
+    the default N up to degree 16, so memory stays flat in n^2 N."""
+    points, (C, N) = np.asarray(points), Z.shape
     P = points.size
-    return np.bincount(k[up], minlength=P) - np.bincount(k[down], minlength=P)
+    W = np.empty((C, P), dtype=np.intp)
+    step = max(1, numerics._BLOCK_ENTRIES // (P * N))
+    for s in range(0, C, step):
+        Zb = Z[s : s + step]
+        above = Zb.imag[:, None, :] > points.imag[:, None]  # [c, k, e]: Im z_ce > Im point_k
+        c, k, e = np.nonzero(above != np.roll(above, -1, axis=2))
+        a = Zb[c, e] - points[k]
+        b = Zb[c, (e + 1) % N] - points[k]
+        left = a.real * b.imag - a.imag * b.real  # > 0: the point is left of a -> b
+        side, ck = above[c, k, e], c * P + k
+        up = np.bincount(ck[~side & (left > 0)], minlength=len(Zb) * P)
+        down = np.bincount(ck[side & (left < 0)], minlength=len(Zb) * P)
+        W[s : s + step] = (up - down).reshape(-1, P)
+    return W
 
 
 def trace(R, N=None):
@@ -314,10 +327,18 @@ def _trace(R, N):
     M = N // 2 + 1 if real else N
     Z = _solve_grid(solver, ts[:M:S])
     if S > 1:
-        # fill rows start from the tangent dz/dt = i e^{it} / R'(z) at their
-        # raw left anchor; the guess only saves iterations, never orders
-        slope = 1j * np.exp(1j * ts[:M:S])[:, None] / R.derivative(Z)
-        Z = (Z[:, None] + ts[None, :S, None] * slope[:, None]).reshape(-1, n)[:M]
+        # fill rows start from the Taylor step z + h z' + (h^2/2) z'' at
+        # their raw left anchor: R(z(t)) = e^{it} gives z' = i e^{it}/R' and
+        # z'' = z' (i - z' R''/R'); the guess only saves iterations, never
+        # orders
+        inv = np.divide(1.0, np.subtract(Z.reshape(-1, 1), R.poles))  # flat (rows * n, n)
+        sq = inv * inv
+        d1 = -(sq @ R.residues).reshape(-1, n)  # R'
+        d2 = 2.0 * (np.multiply(sq, inv, out=sq) @ R.residues).reshape(-1, n)  # R''
+        dz = 1j * np.exp(1j * ts[:M:S])[:, None] / d1
+        ddz = dz * (1j - dz * d2 / d1)
+        h = ts[None, :S, None]
+        Z = (Z[:, None] + h * dz[:, None] + (0.5 * h * h) * ddz[:, None]).reshape(-1, n)[:M]
         fill = np.arange(M) % S != 0
         Z[fill] = _solve_grid(solver, ts[:M][fill], Z[fill])
     if real:
@@ -337,8 +358,7 @@ def _trace(R, N):
         np.divide(1.0, inv, out=inv)
         speed[b] = (1.0 / np.abs(np.square(inv, out=inv) @ R.residues)).reshape(-1, n)
     curves = []
-    for c in range(n):
-        w = _windings(Z[:, c], R.poles)
+    for c, w in enumerate(_windings(Z.T, R.poles)):
         inside = np.flatnonzero(np.abs(w) == 1)
         if inside.size != 1 or np.abs(w).sum() != 1:
             raise ComponentCountMismatch(

@@ -1,32 +1,29 @@
 """Two-sided analytic capacity bounds from boundary quadrature.
 
-Candidate functions live in the real span of (z - p)^{-j} and i (z - p)^{-j}
-for p in a pole set S and 1 <= j <= k.  With the boundary inner product
-<f, g> = Re (1/2pi) integral f conj(g) |dz|, two quadratic programs give
+Candidate functions live in the complex span of (z - p)^{-j} for p in a pole
+set S and 1 <= j <= k.  With the boundary inner product
+<f, g> = (1/2pi) integral f conj(g) |dz|, two quadratic programs give
 
-    upper:  min over g = 1 + span  of  ||g||^2      = c0 - w^T G^{-1} w
-    lower:  max over h in span of 2 Re h'(inf) - ||h||^2 = b^T G^{-1} b
+    upper:  min over g = 1 + span  of  ||g||^2      = c0 - w^H G^{-1} w
+    lower:  max over h in span of 2 Re h'(inf) - ||h||^2 = b^H G^{-1} b
 
-where G is the real Gram matrix, w_r = <1, phi_r>, and b picks out the real
-slots of the simple poles (z - p)^{-1}, the only elements with Re phi'(inf)
-nonzero.  Both values bracket the capacity of {|R| >= 1} for every k, and
-tighten monotonically as the spans grow.
+where G is the Hermitian Gram matrix G_rs = <phi_r, phi_s>, w_r = <phi_r, 1>,
+and b is 1 on the simple poles (z - p)^{-1}, the only elements with
+phi'(inf) nonzero, and 0 elsewhere; for f = sum c_r phi_r and x = conj(c),
+||f||^2 = x^H G x and <f, 1> = x^H w.  Both values bracket the capacity of
+{|R| >= 1} for every k, and tighten monotonically as the spans grow.
 
-Each element has two real slots, its real and its imaginary coefficient,
-except on a real map's nodes with a real S, where it has one (below).  The
-basis is order-major: all of S at j = 1, then all of S at j = 2, and so on,
-so the span for k is the first slots |S| k real slots and its Gram is the
-leading block of the kmax Gram.  One Cholesky factor L of the equilibrated
-kmax Gram D^{-1} G D^{-1} is then the factor of every leading block, and
-with the two triangular solves y_w = L^{-1} D^{-1} w and y_b = L^{-1} D^{-1} b
-every row is a prefix sum, monotone in k by construction:
+Each element has one slot, its complex coefficient: the m x m Hermitian G
+has the same rows as the 2m x 2m real system of the real and imaginary
+coefficients, at half the order.  The basis is order-major: all of S at
+j = 1, then all of S at j = 2, and so on, so the span for k is the first
+|S| k elements and its Gram is the leading block of the kmax Gram.  One
+Cholesky factor L of the equilibrated kmax Gram D^{-1} G D^{-1} = L L^H is
+then the factor of every leading block, and with the two triangular solves
+y_w = L^{-1} D^{-1} w and y_b = L^{-1} D^{-1} b every row is a prefix sum,
+monotone in k by construction:
 
-    u_k = c0 - sum_{s < slots |S| k} y_w[s]^2,    l_k = sum_{s < slots |S| k} y_b[s]^2.
-
-Only the m elements themselves are integrated, through the products of
-their real and imaginary parts; multiplication by i acts on these
-algebraically (the 2x2 real blocks below), which halves the quadrature work
-and keeps the real matrix exactly structured.
+    u_k = c0 - sum_{s < |S| k} |y_w[s]|^2,    l_k = sum_{s < |S| k} |y_b[s]|^2.
 
 The quadrature weights lam are folded into the basis: row (p, j) holds
 sqrt(lam) (z - p)^{-j}, built by cumulative products from the row
@@ -35,21 +32,21 @@ mod 4, one C-contiguous (1 + m, nodes/4) block per class.  Each complex row
 is split in place into its real and imaginary rows, so the class block
 becomes a real (2 + 2m, nodes/4) matrix X, and X X^T is one real symmetric
 rank-k update (BLAS syrk, through numpy's matmul) per class, with the same
-flops as the complex Hermitian one.  Its 2x2 blocks are the products of real
-and imaginary parts, which give the real Gram directly, and its first row
-gives w.  The factor and both triangular solves are plain numpy: Cholesky,
-then blockwise exact substitution.
+flops as the complex Hermitian one.  Its (m, m) blocks P_uv are the products
+of the real (e) and imaginary (o) parts, and the complex Gram is
+(P_ee + P_oo) + i (P_oe - P_eo), exactly Hermitian since X X^T is exactly
+symmetric; its row 0, of the constant function, gives conj(w).  The factor
+and both triangular solves are plain numpy for either dtype: Cholesky, then
+blockwise exact substitution.
 
 A real map's nodes are conjugate-symmetric (boundary.trace): the node at
 2pi - t is the conjugate of the node at t, with the same weight.  For a real
 S every element then has phi(conj z) = conj phi(z), so over each conjugate
-pair of nodes the complex Gram, and w, are real, on each of the three grids.
-The imaginary slots then decouple from the real ones, take the coefficient
-0, and add nothing to any row: the system keeps the real slots alone, an
-m x m G.  Its products need no split: row r of the float64 view of the
-complex class block interleaves Re and Im of element r, so one product of
-that (1 + m, nodes/2) view with its transpose is the real part of the
-complex Gram, half the flops of the split product.
+pair of nodes the complex Gram, and w, are real, on each of the three grids,
+and the system is real (float64).  Its products need no split: row r of the
+float64 view of the complex class block interleaves Re and Im of element r,
+so one product of that (1 + m, nodes/2) view with its transpose is the real
+part of the complex Gram, half the flops of the split product.
 
 The class Grams C_0..C_3 give the trapezoid Grams of the nested grids for
 free: C_N = C_0 + C_1 + C_2 + C_3, C_{N/2} = 2 (C_0 + C_2) and C_{N/4} =
@@ -106,15 +103,14 @@ def enumerate_basis(R, k, S_override=None):
 
 @dataclass(frozen=True)
 class GramSystem:
-    """The real Gram system of m basis elements, with slots = G.shape[0] // m
-    real slots per element.  With two, slot 2r is the real coefficient of
-    element r and slot 2r+1 the imaginary one.  With one (on
-    conjugate-symmetric nodes and a real S), slot r is the real coefficient
-    of element r; the imaginary ones decouple there and add nothing."""
+    """The Gram system of m basis elements, one slot per element: entry r
+    belongs to element r, whose coefficient c_r enters as x_r = conj(c_r).
+    G and w are complex, or real (float64) on conjugate-symmetric nodes with
+    a real S, where the complex Gram and w are real."""
 
-    G: np.ndarray  # (slots m, slots m) real, symmetric positive definite up to roundoff
-    w: np.ndarray  # (slots m,)  <1, phi_r>
-    b: np.ndarray  # (slots m,)  Re phi_r'(infinity)
+    G: np.ndarray  # (m, m) Hermitian, positive definite up to roundoff
+    w: np.ndarray  # (m,)  <phi_r, 1>
+    b: np.ndarray  # (m,)  phi_r'(infinity): 1 at j = 1, else 0 (float64)
     c0: float  # arclength / 2pi
     # the changes of (G, w, c0) from grid N to N/2 and from N/2 to N/4; b is
     # exact, so their b is zero
@@ -143,16 +139,16 @@ def _basis_values(S, k, z, scale):
 def _check_poles_inside(sampling, S):
     """Each point of S must lie inside exactly one boundary curve.  trace has
     already found each curve's enclosed pole, and only that pole, inside it,
-    so only the other points of S are wound."""
+    so only the other points of S are wound, about every curve in one pass."""
     traced = {c.enclosed_pole for c in sampling.curves}
-    S = [p for p in S if complex(p) not in traced]
-    if not S:
+    S = np.array([p for p in S if complex(p) not in traced])
+    if not S.size:
         return
-    z_all = np.concatenate([c.z for c in sampling.curves])
+    Z = np.stack([c.z for c in sampling.curves])
     for p in S:
-        if np.abs(z_all - p).min() <= 1e-9:
+        if np.abs(Z - p).min() <= 1e-9:
             raise ValueError(f"basis pole {p} sits on the sampled boundary")
-    total = sum(np.abs(_windings(c.z, S)) for c in sampling.curves)
+    total = np.abs(_windings(Z, S)).sum(axis=0)
     for p, count in zip(S, total):
         if count != 1:
             raise ValueError(
@@ -188,22 +184,18 @@ def _split_rows(B):
     return F.reshape(4, -1, q)
 
 
-def _realify(P):
-    """Turn the real products of the split rows into the real Gram, in place.
+def _hermitian(P):
+    """The complex Gram of the products P of the split rows.
 
-    P[..., 2r:2r+2, 2s:2s+2] holds the four products of the real and
-    imaginary parts of elements r and s.  Slot 2r is the real coefficient of
-    element r, slot 2r+1 the imaginary one; the identities
-    <i f, i g> = <f, g> and <f, i g> = Im <f, g>_C fill the 2x2 blocks, and
-    since P is exactly symmetric so is the result.
-    """
-    ee, oo = P[..., 0::2, 0::2], P[..., 1::2, 1::2]
-    eo, oe = P[..., 0::2, 1::2], P[..., 1::2, 0::2]
-    np.add(ee, oo, out=ee)
-    oo[...] = ee
-    np.subtract(oe, eo, out=eo)
-    np.negative(eo, out=oe)
-    return P
+    P[..., 2r + u, 2s + v] holds the product of part u of element r with
+    part v of element s (0 the real part, 1 the imaginary one), so
+    sum phi_r conj(phi_s) lam = (P_ee + P_oo) + i (P_oe - P_eo) for the
+    (m, m) blocks P_uv = P[..., u::2, v::2]; since P is exactly symmetric,
+    the result is exactly Hermitian."""
+    H = np.empty(P.shape[:-2] + (P.shape[-2] // 2, P.shape[-1] // 2), dtype=np.complex128)
+    np.add(P[..., 0::2, 0::2], P[..., 1::2, 1::2], out=H.real)
+    np.subtract(P[..., 1::2, 0::2], P[..., 0::2, 1::2], out=H.imag)
+    return H
 
 
 def assemble_gram(sampling, basis):
@@ -211,15 +203,14 @@ def assemble_gram(sampling, basis):
     systems of the nested grids N/2 and N/4 in its steps.
 
     Row 0 of the basis array is the constant function 1, so one product per
-    class gives the Gram together with w in row 0.  On conjugate-symmetric
-    nodes with a real S the system has one real slot per element (see
-    GramSystem), two otherwise."""
+    class gives the Gram together with conj(w) in row 0.  The system is real
+    on conjugate-symmetric nodes with a real S and complex Hermitian
+    otherwise (see GramSystem)."""
     _check_poles_inside(sampling, basis.S)
     z, lam = sampling.nodes()
     shape = sampling.weights.shape
     root = _by_class(np.sqrt(lam).reshape(shape))
     real = sampling.conjugate_symmetric and not basis.S.imag.any()
-    slots = 1 if real else 2
     # a high power of a small residue's basis element can overflow; the
     # Gram is then not finite, which is checked once below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -238,22 +229,20 @@ def assemble_gram(sampling, basis):
         P[2] *= 2.0
         np.add(P[1], P[3], out=P[0])
         np.subtract(P[1], P[3], out=P[1])
-        G = P[:3] if real else _realify(P[:3])
+        G = P[:3] if real else _hermitian(P[:3])
     if not np.isfinite(G).all():
         raise IllConditioned(f"the Gram at k = {basis.k} is not finite: the basis overflows")
     c = lam.reshape(shape[0], -1, 4).sum(axis=(0, 1))
-    b = np.zeros(G.shape[-1] - slots)
-    for r, (_, j) in enumerate(basis.elements):
-        if j == 1:
-            b[slots * r] = 1.0
-    # the first slots rows and columns belong to the constant function 1
+    # order-major: the first |S| elements are the simple poles, j = 1
+    b = np.zeros(len(basis.elements))
+    b[: basis.S.size] = 1.0
+    # row and column 0 belong to the constant function 1, and G[0, r] is
+    # <1, phi_r>, so w_r = <phi_r, 1> is its conjugate
     steps = tuple(
-        GramSystem(G=G[i, slots:, slots:], w=G[i, 0, slots:], b=np.zeros_like(b), c0=float(dc))
+        GramSystem(G=G[i, 1:, 1:], w=G[i, 0, 1:].conj(), b=np.zeros_like(b), c0=float(dc))
         for i, dc in ((1, c[0] - c[1] + c[2] - c[3]), (2, 2.0 * (c[0] - c[2])))
     )
-    return GramSystem(
-        G=G[0, slots:, slots:], w=G[0, 0, slots:], b=b, c0=float(lam.sum()), steps=steps
-    )
+    return GramSystem(G=G[0, 1:, 1:], w=G[0, 0, 1:].conj(), b=b, c0=float(lam.sum()), steps=steps)
 
 
 def _back_substitute(U, Y):
@@ -265,7 +254,7 @@ def _back_substitute(U, Y):
     factors are I and the block itself and the solve is exact back
     substitution; one matrix product then eliminates the block from the rows
     above."""
-    X = np.array(Y, dtype=np.float64)
+    X = np.array(Y, dtype=np.result_type(U, Y))
     for hi in range(U.shape[0], 0, -_SOLVE_BLOCK):
         lo = max(hi - _SOLVE_BLOCK, 0)
         X[lo:hi] = np.linalg.solve(U[lo:hi, lo:hi], X[lo:hi])
@@ -281,9 +270,10 @@ def _forward_substitute(L, Y):
 
 def _solve_spd(G, rhs):
     """Half-solves y_i = L^{-1} D^{-1} rhs_i with the Cholesky factor L of the
-    symmetrically equilibrated Gram D^{-1} G D^{-1}, so that
-    rhs_i^T G^{-1} rhs_i = |y_i|^2; for every leading block of G the same
-    identity holds with the leading entries of y_i.
+    symmetrically equilibrated Gram D^{-1} G D^{-1} = L L^H, so that
+    rhs_i^H G^{-1} rhs_i = |y_i|^2; for every leading block of G the same
+    identity holds with the leading entries of y_i.  G is real symmetric or
+    complex Hermitian, and L and y_i have its dtype (with complex rhs).
 
     Condition estimates above COND_LIMIT (or outright factorization failure)
     trigger a tiny relative ridge; the result is then flagged uncertified.
@@ -298,7 +288,7 @@ def _solve_spd(G, rhs):
     ridge = 0.0
     if ev[0] <= 0 or ev[-1] / ev[0] > COND_LIMIT:
         certified = False
-        ridge = RIDGE_REL * np.trace(Gs) / Gs.shape[0]
+        ridge = RIDGE_REL * np.trace(Gs).real / Gs.shape[0]
     for _ in range(4):
         try:
             L = np.linalg.cholesky(Gs + ridge * np.eye(Gs.shape[0]) if ridge else Gs)
@@ -317,10 +307,10 @@ def _quad_error(gram, L, d, yw, yb, sizes):
 
     Row k's extremal functions are g_k = 1 - sum x_k phi and h_k = sum z_k phi
     with x_k = G_k^{-1} w_k and z_k = G_k^{-1} b_k on the leading block of
-    size sizes[k-1]; one solve with L^T over the half-solves masked to each
+    size sizes[k-1]; one solve with L^H over the half-solves masked to each
     block gives them all.  The upper row is ||g_k||^2 and the lower row
-    2 z_k^T b - ||h_k||^2 with b exact, so on a coarser grid they move by
-    the difference system's quadratic forms in x_k and z_k.
+    2 Re z_k^H b - ||h_k||^2 with b exact, so on a coarser grid they move by
+    the difference system's Hermitian forms Re(x^H dG x) in x_k and z_k.
 
     Both changes count: near marginal the N -> N/2 change alone can fall
     short of the error at N even when the three levels contract (on the
@@ -329,14 +319,14 @@ def _quad_error(gram, L, d, yw, yb, sizes):
     """
     mask = np.arange(d.size)[:, None] < sizes
     Y = np.concatenate((yw[:, None] * mask, yb[:, None] * mask), axis=1)
-    U = _back_substitute(L.T, Y) / d[:, None]
+    U = _back_substitute(L.conj().T, Y) / d[:, None]
     X = U[:, : sizes.size]
     err = 0.0
     for step in gram.steps:
-        # x_k^T dG x_k in the first kmax columns, z_k^T dG z_k in the rest;
+        # x_k^H dG x_k in the first kmax columns, z_k^H dG z_k in the rest;
         # the upper rows also move with c0 and w
-        forms = (U * (step.G @ U)).sum(axis=0)
-        forms[: sizes.size] += step.c0 - 2.0 * (step.w @ X)
+        forms = (U.conj() * (step.G @ U)).sum(axis=0).real
+        forms[: sizes.size] += step.c0 - 2.0 * (step.w.conj() @ X).real
         err = max(err, np.abs(forms).max())
     return float(err)
 
@@ -365,9 +355,9 @@ def bounds_sequence(R, kmax, N=None, S_override=None):
     """Bound rows for k = 1..kmax from a single boundary trace.
 
     The kmax Gram is assembled and factored once per trace.  In the
-    order-major basis the span for k is the first slots |S| k real slots,
-    with slots per element read off the Gram's size, so row k reads the
-    prefix sums of the two half-solves at slot slots |S| k - 1.  certified is
+    order-major basis the span for k is the first |S| k elements, so row k
+    reads the prefix sums of |y|^2 of the two half-solves at entry
+    |S| k - 1.  certified is
     the condition test of the kmax Gram, which bounds every row's leading
     block, together with quad_error <= QUAD_TOL.
 
@@ -379,18 +369,17 @@ def bounds_sequence(R, kmax, N=None, S_override=None):
     kmax = int(kmax)
     sampling = trace(R, N=N)
     basis = enumerate_basis(R, kmax, S_override=S_override)
+    sizes = basis.S.size * np.arange(1, kmax + 1)
     while True:
         gram = assemble_gram(sampling, basis)
-        slots = gram.G.shape[0] // len(basis.elements)
-        sizes = slots * basis.S.size * np.arange(1, kmax + 1)
         (yw, yb), conditioned, L, d = _solve_spd(gram.G, [gram.w, gram.b])
         quad_error = _quad_error(gram, L, d, yw, yb, sizes)
         escalate = N is None and conditioned and quad_error > QUAD_TOL
         if not escalate or sampling.N >= DEFAULT_N:
             break
         sampling = trace(R, N=2 * sampling.N)
-    lowers = np.cumsum(yb * yb)[sizes - 1].tolist()
-    uppers = (gram.c0 - np.cumsum(yw * yw)[sizes - 1]).tolist()
+    lowers = np.cumsum((yb.conj() * yb).real)[sizes - 1].tolist()
+    uppers = (gram.c0 - np.cumsum((yw.conj() * yw).real)[sizes - 1]).tolist()
     rows = list(zip(range(1, kmax + 1), lowers, uppers))
     return CapacityBounds(
         rows=rows,

@@ -3,10 +3,13 @@
 The roots of R(z) = w for R = sum_j a_j/(z - p_j) and a batch of w, as trace
 needs them, never see a polynomial: solve_pf_rows runs a batched Aberth
 iteration on the partial fractions (aberth_rows), O(n) per root and step,
-and falls back to one batched eigensolve of diag(p) + a 1^T/w.  Every
-accepted row passes one residual check (pf_rows_ok), the only place that
-accepts a root of R(z) = w; no caller checks it again.  It takes its rows in
-blocks of _row_blocks, as trace's other per-row passes over n x n tensors do.
+and falls back to one batched eigensolve of diag(p) + a 1^T/w.  A cold row
+starts at the second-order roots p_j + a_j/(w - c_j) of _cold_start:
+Aberth's cost is set by its starting points (Bini, Numer. Algorithms 13,
+1996), and a start only saves iterations.  Every accepted row passes one
+residual check (pf_rows_ok), the only place that accepts a root of
+R(z) = w; no caller checks it again.  It takes its rows in blocks of
+_row_blocks, as trace's other per-row passes over n x n tensors do.
 aberth_rows runs each step in place in two (n, n, rows) buffers, with one
 reciprocal per root pair and every complex product in a fixed operand order,
 so that its roots are bit-identical to those of the dense formulation (the
@@ -224,11 +227,26 @@ def _pf_eigvals(a, p, ws):
     return np.linalg.eigvals((a / ws[:, None])[:, :, None] + np.diag(p))
 
 
+def _cold_start(a, p, ws):
+    """The second-order starts p_j + a_j/(w - c_j), one row per w in ws,
+    with c_j = sum_{k != j} a_k/(p_j - p_k): near p_j, R(z) = w is
+    a_j/(z - p_j) + c_j = w to first order in z - p_j.  For one pole c = 0
+    and the start is exactly p + a/w.  A w equal to some c_j gives a start
+    that is not finite; aberth_rows never freezes its row, which then goes
+    to the eigensolver like any other."""
+    gap = p[:, None] - p
+    np.fill_diagonal(gap, 1.0)
+    t = a / gap  # [j, k] = a_k/(p_j - p_k)
+    np.fill_diagonal(t, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return p + a / (ws[:, None] - t.sum(axis=1))
+
+
 def solve_pf_rows(a, p, ws, Z0=None):
     """The n roots of sum_j a_j/(z - p_j) = w for every w in ws: (Z, ok).
 
-    aberth_rows starts at Z0 (one row for all, or one per w) or at the
-    first-order roots p_j + a_j/w near the poles; a frozen Aberth root is
+    aberth_rows starts at Z0 (one row for all, or one per w) or cold at
+    _cold_start; a start only saves iterations, and a frozen Aberth root is
     already at roundoff.  A row that does not freeze, fails pf_rows_ok, or
     has two roots within CLUSTER_SEP times the pole diameter gets the
     eigenvalues of _pf_eigvals polished by aberth_rows, and passes on
@@ -236,7 +254,7 @@ def solve_pf_rows(a, p, ws, Z0=None):
     of this in blocks of _row_blocks, and each row is solved independently
     of the others.
     """
-    Z0 = np.broadcast_to(p + a / ws[:, None] if Z0 is None else Z0, (len(ws), p.size))
+    Z0 = np.broadcast_to(_cold_start(a, p, ws) if Z0 is None else Z0, (len(ws), p.size))
     Z, ok = np.empty(Z0.shape, dtype=np.complex128), np.empty(len(ws), dtype=bool)
     i, j = _pairs(p.size)
     sep = CLUSTER_SEP * np.abs(p[i] - p[j]).max(initial=0.0)

@@ -2,9 +2,10 @@
 
 A map is R(z) = sum_j a_j / (z - p_j) with distinct poles p_j and nonzero
 residues a_j.  R(infinity) = 0 and the derivative at infinity, the coefficient
-of 1/z, is sum_j a_j.  The sublevel-set geometry downstream only ever needs
-R, R', preimages of circle points, and the critical values, all of which
-live here.  Only the critical points expand R into polynomial coefficients.
+of 1/z, is sum_j a_j.  The sublevel-set geometry downstream needs R,
+preimages of circle points and the critical values, which live here, and
+R' and R'' on its nodes, which boundary forms from the residues and poles.
+Only the critical points expand R into polynomial coefficients.
 """
 
 import enum
@@ -78,13 +79,6 @@ class RationalMapPF:
     def derivative_at_infinity(self):
         """Coefficient of 1/z in the expansion at infinity: sum of residues."""
         return complex(self.residues.sum())
-
-    def derivative(self, z):
-        """R'(z) = -sum a_j/(z-p_j)^2, vectorized, no pole-proximity check."""
-        zz = np.asarray(z, dtype=np.complex128)
-        d = zz[..., None] - self.poles
-        out = -(self.residues / (d * d)).sum(axis=-1)
-        return complex(out) if zz.ndim == 0 else out
 
     def critical_data(self):
         return self._critical_data

@@ -487,7 +487,7 @@ def test_unconverged_fill_rows_go_to_the_eigensolver(monkeypatch, R, N, S):
 
     def unconverged_when_warm(a, p, ws, Z0):
         Z, done = real_aberth(a, p, ws, Z0)
-        if not np.array_equal(np.broadcast_to(Z0, Z.shape), p + a / ws[:, None]):
+        if not np.array_equal(np.broadcast_to(Z0, Z.shape), numerics._cold_start(a, p, ws)):
             done[:] = False
         return Z, done
 
@@ -522,12 +522,13 @@ def test_walk_that_comes_back_permuted_is_rejected():
 
 
 def test_trace_solves_only_the_anchors(monkeypatch):
-    # the fill rows also pass through aberth_rows, but warm: count cold starts
+    # the fill rows also pass through aberth_rows, but warm: count the rows
+    # that start at the second-order cold start
     cold, eigen = [], []
     real_aberth, real_eigvals = numerics.aberth_rows, numerics._pf_eigvals
 
     def counting_aberth(a, p, ws, Z0):
-        if np.array_equal(np.broadcast_to(Z0, (len(ws), p.size)), p + a / ws[:, None]):
+        if np.array_equal(np.broadcast_to(Z0, (len(ws), p.size)), numerics._cold_start(a, p, ws)):
             cold.append(len(ws))
         return real_aberth(a, p, ws, Z0)
 
@@ -574,9 +575,9 @@ def test_windings_count_signed_crossings():
     diamond = np.array([1, 1j, -1, -1j])
     points = [0j, -2 + 0j, 2 + 0j, 0.5j, 3 + 3j]
     expect = [1, 0, 0, 1, 0]
-    assert boundary._windings(diamond, points).tolist() == expect
-    assert boundary._windings(diamond[::-1], np.array(points)).tolist() == [-e for e in expect]
-    assert boundary._windings(np.tile(diamond, 2), points).tolist() == [2 * e for e in expect]
+    assert boundary._windings(diamond[None], points)[0].tolist() == expect
+    assert boundary._windings(diamond[None, ::-1], np.array(points))[0].tolist() == [-e for e in expect]
+    assert boundary._windings(np.tile(diamond, 2)[None], points)[0].tolist() == [2 * e for e in expect]
 
 
 def _dense_windings(z_curve, points):
@@ -606,8 +607,44 @@ def test_windings_match_the_dense_count(seed):
     outside = np.array([x1 + 1 + 1j * cy, x0 - 1 + 1j * cy, cx + 1j * (y1 + 1), cx + 1j * (y0 - 1)])
     level = z[rng.integers(0, N, 8)]
     points = np.concatenate([inside, outside, level, level - 0.5, level + 0.5])
-    assert np.array_equal(boundary._windings(z, points), _dense_windings(z, points))
-    assert np.array_equal(boundary._windings(z, list(points[:3])), _dense_windings(z, points[:3]))
+    assert np.array_equal(boundary._windings(z[None], points)[0], _dense_windings(z, points))
+    assert np.array_equal(boundary._windings(z[None], list(points[:3]))[0], _dense_windings(z, points[:3]))
+
+
+def _one_curve_windings(z_curve, points):
+    """The crossing-edge count of one curve at a time, as trace made it once
+    per curve, kept as the reference for the all-curves pass."""
+    points, N = np.asarray(points), len(z_curve)
+    above = (z_curve.imag - points.imag[:, None]) > 0
+    k, e = divmod(np.flatnonzero(above != np.roll(above, -1, axis=1)), N)
+    a = z_curve[e] - points[k]
+    b = z_curve[(e + 1) % N] - points[k]
+    left = a.real * b.imag - a.imag * b.real
+    up = ~above[k, e] & (left > 0)
+    down = above[k, e] & (left < 0)
+    P = points.size
+    return np.bincount(k[up], minlength=P) - np.bincount(k[down], minlength=P)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_all_curve_windings_match_one_curve_at_a_time(seed, monkeypatch):
+    # several closed polygons of one length wound in one pass, about points
+    # inside and outside them and about points level with a node (on it,
+    # left and right of it); odd seeds round the nodes to a grid, so nodes
+    # share heights.  Then again in blocks of two curves.
+    rng = np.random.default_rng(seed)
+    C, N = int(rng.integers(1, 7)), int(rng.integers(3, 200))
+    Z = np.cumsum(rng.standard_normal((C, N)) + 1j * rng.standard_normal((C, N)), axis=1)
+    if seed % 2:
+        Z = np.round(Z * 4) / 4
+    level = Z.ravel()[rng.integers(0, Z.size, 6)]
+    points = np.concatenate([
+        rng.uniform(-5, 5, 20) + 1j * rng.uniform(-5, 5, 20), level, level - 0.5, level + 0.5,
+    ])
+    expect = np.stack([_one_curve_windings(z, points) for z in Z])
+    assert np.array_equal(boundary._windings(Z, points), expect)
+    monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 2 * points.size * N)
+    assert np.array_equal(boundary._windings(Z, points), expect)
 
 
 def test_trace_memory_stays_flat_in_the_rows():

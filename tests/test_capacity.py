@@ -55,17 +55,17 @@ def test_enumerate_basis_order():
 
 
 def test_disk_gram_structure():
-    # a real disk has one real slot per element, a complex pole's disk the
-    # real and imaginary slots
+    # one slot per element: a 1x1 system, real for a real disk and complex
+    # Hermitian for a complex pole's disk
     a = 0.6
-    for p, slots in ((0j, 1), (0.2 - 0.7j, 2)):
+    for p, dtype in ((0j, np.float64), (0.2 - 0.7j, np.complex128)):
         R = disk_map(a, p)
         sampling = boundary.trace(R, N=256)
         gram = capacity.assemble_gram(sampling, capacity.enumerate_basis(R, 1))
-        assert gram.G.shape == (slots, slots)
-        assert np.allclose(gram.G, np.eye(slots) / a, atol=1e-12)
+        assert gram.G.shape == (1, 1) and gram.G.dtype == dtype
+        assert np.allclose(gram.G, [[1.0 / a]], atol=1e-12)
         assert np.max(np.abs(gram.w)) < 1e-12
-        assert np.allclose(gram.b, [1.0, 0.0][:slots])
+        assert np.array_equal(gram.b, [1.0])
         assert abs(gram.c0 - a) < 1e-12
 
 
@@ -252,9 +252,10 @@ def test_verdict_refutes_only_beyond_tol_plus_quad_error():
 
 
 def _reference_gram(sampling, basis, every=1):
-    """The plain assembly: powers by **j, C = (B * lam) @ B^H, then the
-    Hermitian part; every > 1 assembles the trapezoid Gram of the grid of
-    N / every nodes, which has the weights every * lam."""
+    """The plain assembly: powers by **j, the complex Gram
+    C = (B * lam) @ B^H, then its Hermitian part, and v = <phi_r, 1>;
+    every > 1 assembles the trapezoid Gram of the grid of N / every nodes,
+    which has the weights every * lam."""
     z, lam = sampling.nodes()
     keep = np.arange(z.size) % every == 0
     z, lam = z[keep], every * lam[keep]
@@ -262,15 +263,22 @@ def _reference_gram(sampling, basis, every=1):
     C = (B * lam) @ B.conj().T
     C = 0.5 * (C + C.conj().T)
     v = B @ lam.astype(np.complex128)
-    # slot 2r is the real coefficient of element r, slot 2r+1 the imaginary
-    # one: <i f, i g> = <f, g> and <f, i g> = Im <f, g>_C
+    return C, v, float(lam.sum())
+
+
+def _real_embedding(gram):
+    """The 2m x 2m real system of a Hermitian one: slot 2r is the real
+    coefficient of element r and slot 2r+1 the imaginary one, and
+    <i f, i g> = <f, g> and <f, i g> = Im <f, g>_C fill the 2x2 blocks."""
+    C, v = gram.G, gram.w
     G = np.empty((2 * len(C), 2 * len(C)))
     G[0::2, 0::2] = G[1::2, 1::2] = C.real
     G[0::2, 1::2] = C.imag
     G[1::2, 0::2] = -C.imag
-    w = np.empty(2 * len(v))
+    w, b = np.empty(2 * len(v)), np.zeros(2 * len(v))
     w[0::2], w[1::2] = v.real, -v.imag
-    return G, w, float(lam.sum())
+    b[0::2] = gram.b
+    return G, w, b
 
 
 @pytest.fixture(scope="module")
@@ -293,24 +301,21 @@ def test_gram_matches_plain_assembly(example, kmax, degree16_sampling):
     basis = capacity.enumerate_basis(R, kmax)
     gram = capacity.assemble_gram(sampling, basis)
     G, w, c0 = _reference_gram(sampling, basis)
-    d = np.sqrt(np.diag(G))
-    # a real map's system keeps the real slots of the reference only; the
-    # reference's real-imaginary coupling vanishes there, on every grid
-    slots = gram.G.shape[0] // len(basis.elements)
-    keep = slice(None) if slots == 2 else slice(0, None, 2)
+    d = np.sqrt(np.diag(G).real)
     coarser = [_reference_gram(sampling, basis, every) for every in (2, 4)]
-    if slots == 1:
-        ds = d[1::2]
+    # a real map's system is the real part of the reference, whose
+    # imaginary part vanishes there, on every grid
+    if gram.G.dtype == np.float64:
         for Gr, wr, _ in [(G, w, c0)] + coarser:
-            assert (np.abs(Gr[0::2, 1::2]) / np.outer(d[0::2], ds)).max() <= 1e-13
-            assert (np.abs(wr[1::2]) / ds).max() <= 1e-13
-    G, w, d = G[keep, keep], w[keep], d[keep]
+            assert (np.abs(Gr.imag) / np.outer(d, d)).max() <= 1e-13
+            assert (np.abs(wr.imag) / d).max() <= 1e-13
+        G, w = G.real, w.real
+        coarser = [(Gr.real, wr.real, cr) for Gr, wr, cr in coarser]
     assert (np.abs(gram.G - G) / np.outer(d, d)).max() <= 1e-13
     assert (np.abs(gram.w - w) / d).max() <= 1e-13
     assert gram.c0 == c0
-    assert np.array_equal(gram.G, gram.G.T)
+    assert np.array_equal(gram.G, gram.G.conj().T)
     # the steps are the changes from grid N to N/2 and from N/2 to N/4
-    coarser = [(Gr[keep, keep], wr[keep], cr) for Gr, wr, cr in coarser]
     for step, fine, coarse in zip(gram.steps, [(G, w, c0)] + coarser, coarser):
         assert (np.abs(step.G - (coarse[0] - fine[0])) / np.outer(d, d)).max() <= 1e-13
         assert (np.abs(step.w - (coarse[1] - fine[1])) / d).max() <= 1e-13
@@ -319,28 +324,53 @@ def test_gram_matches_plain_assembly(example, kmax, degree16_sampling):
 
 
 @pytest.mark.parametrize(
-    "R, S, slots",
+    "R, S, dtype",
     [
-        *[pytest.param(lambda k=k: example_map(k), None, 1, id=f"example{k}") for k in (1, 2, 3)],
-        pytest.param(lambda: example_map(1), [-1.0 + 0.05j, 1.0], 2, id="example1-complex-S"),
-        *[pytest.param(lambda k=k: example_map(k), None, 2, id=f"example{k}") for k in (4, 5, 6)],
+        *[pytest.param(lambda k=k: example_map(k), None, np.float64, id=f"example{k}") for k in (1, 2, 3)],
+        pytest.param(lambda: example_map(1), [-1.0 + 0.05j, 1.0], np.complex128, id="example1-complex-S"),
+        *[pytest.param(lambda k=k: example_map(k), None, np.complex128, id=f"example{k}") for k in (4, 5, 6)],
     ],
 )
-def test_gram_slots_per_element(R, S, slots):
-    # one real slot per element only on conjugate-symmetric nodes with a
-    # real S; every other system keeps the real and imaginary slots
+def test_gram_slots_per_element(R, S, dtype):
+    # one slot per element: a real system only on conjugate-symmetric nodes
+    # with a real S, a complex Hermitian one otherwise
     R = R()
     basis = capacity.enumerate_basis(R, 3, S_override=S)
     gram = capacity.assemble_gram(boundary.trace(R), basis)
-    size = slots * len(basis.elements)
-    assert gram.G.shape == (size, size) and gram.w.shape == gram.b.shape == (size,)
-    assert all(step.G.shape == (size, size) for step in gram.steps)
+    m = len(basis.elements)
+    assert gram.G.shape == (m, m) and gram.w.shape == gram.b.shape == (m,)
+    assert gram.G.dtype == gram.w.dtype == dtype
+    assert all(step.G.shape == (m, m) and step.G.dtype == dtype for step in gram.steps)
+
+
+@pytest.mark.parametrize(
+    "R, kmax",
+    [
+        *[pytest.param(lambda k=k: example_map(k), max(REFERENCE_BOUNDS[k]), id=f"example{k}")
+          for k in (4, 5, 6)],
+        pytest.param(lambda: parse_map(DEGREE16_0), 4, id="degree16-0"),
+    ],
+)
+def test_hermitian_system_gives_the_rows_of_the_real_embedding(R, kmax):
+    # the 2m x 2m real system of the real and imaginary coefficients, solved
+    # on its own leading block of 2 |S| k slots for each k
+    R = R()
+    bounds = capacity.bounds_sequence(R, kmax)
+    basis = capacity.enumerate_basis(R, kmax)
+    gram = capacity.assemble_gram(capacity.trace(R, N=bounds.N), basis)
+    assert gram.G.dtype == np.complex128 and bounds.certified
+    G, w, b = _real_embedding(gram)
+    for k, low, up in bounds.rows:
+        s = 2 * basis.S.size * k
+        (xw, xb), certified = _per_k_solve(G[:s, :s], [w[:s], b[:s]])
+        assert certified
+        assert abs(low - b[:s] @ xb) <= 1e-13 and abs(up - (gram.c0 - w[:s] @ xw)) <= 1e-13
 
 
 @pytest.mark.parametrize("example", [1, 3])
 def test_real_slots_give_the_rows_of_both_slots(example, monkeypatch):
-    # the same conjugate-symmetric nodes, assembled with both slots per
-    # element: the imaginary slots add nothing, so the rows agree to roundoff
+    # the same conjugate-symmetric nodes, assembled as a complex Hermitian
+    # system: the imaginary parts add nothing, so the rows agree to roundoff
     R = example_map(example)
     kmax = max(REFERENCE_BOUNDS[example])
     real = capacity.bounds_sequence(R, kmax)
@@ -377,8 +407,9 @@ MARGINAL_0 = (
 
 
 def _per_k_solve(G, rhs):
-    """Reference solve for one k's own Gram: equilibrated Cholesky, a ridge
-    on a bad condition estimate, then G^{-1} rhs_i."""
+    """Reference solve for one k's own Gram, real symmetric or complex
+    Hermitian: equilibrated Cholesky, a ridge on a bad condition estimate,
+    then G^{-1} rhs_i."""
     d = np.sqrt(np.abs(np.diag(G)))
     d[d == 0] = 1.0
     Gs = G / d[:, None] / d[None, :]
@@ -387,7 +418,7 @@ def _per_k_solve(G, rhs):
     ridge = 0.0
     if ev[0] <= 0 or ev[-1] / ev[0] > capacity.COND_LIMIT:
         certified = False
-        ridge = capacity.RIDGE_REL * np.trace(Gs) / Gs.shape[0]
+        ridge = capacity.RIDGE_REL * np.trace(Gs).real / Gs.shape[0]
     for _ in range(4):
         try:
             cf = scipy.linalg.cho_factor(
@@ -403,20 +434,18 @@ def _per_k_solve(G, rhs):
 
 
 def _per_k_rows(R, kmax):
-    """Rows by the per-k slot gather: for each k, the slots of the elements
-    with j <= k in pole-major order, one factorization each."""
+    """Rows by the per-k gather: for each k, the elements with j <= k in
+    pole-major order, one slot each, one factorization each."""
     basis = capacity.enumerate_basis(R, kmax)
     gram = capacity.assemble_gram(boundary.trace(R), basis)
     elems, n = basis.elements, basis.S.size
-    slots = gram.G.shape[0] // len(elems)
     pole_major = sorted(range(len(elems)), key=lambda r: (r % n, r))
     rows, certified = [], True
     for k in range(1, kmax + 1):
-        keep = [r for r in pole_major if elems[r][1] <= k]
-        idx = np.array([s for r in keep for s in range(slots * r, slots * (r + 1))])
+        idx = np.array([r for r in pole_major if elems[r][1] <= k])
         w, b = gram.w[idx], gram.b[idx]
         (xw, xb), cert = _per_k_solve(gram.G[np.ix_(idx, idx)], [w, b])
-        rows.append((k, float(b @ xb), float(gram.c0 - w @ xw)))
+        rows.append((k, float((b @ xb).real), float(gram.c0 - (w.conj() @ xw).real)))
         certified &= cert
     return rows, certified
 
@@ -476,17 +505,17 @@ def test_traced_poles_are_not_wound_again(monkeypatch):
     calls = []
     windings = boundary._windings
 
-    def counting(z_curve, points):
-        calls.append(len(points))
-        return windings(z_curve, points)
+    def counting(Z, points):
+        calls.append((len(Z), len(points)))
+        return windings(Z, points)
 
     # capacity imports _windings by name: count its calls there too
     monkeypatch.setattr(boundary, "_windings", counting)
     monkeypatch.setattr(capacity, "_windings", counting)
     capacity.bounds_sequence(parse_map(DEGREE16_0), 4)
-    # trace winds each of its 16 curves about the 16 poles; assemble_gram
-    # winds none of them again
-    assert calls == [16] * 16
+    # trace winds its 16 curves about the 16 poles in one pass;
+    # assemble_gram winds none of them again
+    assert calls == [(16, 16)]
 
 
 def test_degree16_default_resolution():

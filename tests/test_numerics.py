@@ -222,6 +222,30 @@ def test_aberth_returns_the_exact_start_of_a_disk_map(monkeypatch):
     assert np.abs(Z - start).max() <= 1e-15
 
 
+def test_one_pole_cold_start_is_p_plus_a_over_w():
+    # no other pole: c = 0, and the second-order start is the exact root
+    a, p = np.array([0.5 - 0.1j]), np.array([0.25 - 0.5j])
+    ws = np.exp(2j * np.pi * np.arange(64) / 64)
+    assert numerics._cold_start(a, p, ws).tobytes() == (p + a / ws[:, None]).tobytes()
+
+
+def test_cold_start_that_divides_by_zero_still_solves(monkeypatch):
+    # poles 0 and 1 with a_1 = -1: c_0 = a_1/(p_0 - p_1) = 1, so at w = 1
+    # root 0 starts at p_0 + a_0/0; its row does not freeze and the
+    # eigensolver gives its roots
+    a, p = np.array([0.5 + 0j, -1.0 + 0j]), np.array([0j, 1.0 + 0j])
+    ws = np.array([1.0 + 0j, 1j])
+    assert not np.isfinite(numerics._cold_start(a, p, ws)[0]).all()
+    fallback = _counting_eigensolve(monkeypatch)
+    with np.errstate(all="raise"):
+        Z, ok = numerics.solve_pf_rows(a, p, ws)
+    assert ok.all() and fallback == [1]
+    # the same root sets: the nearest-root assignment is a bijection
+    D = np.abs(Z[:, :, None] - numerics._pf_eigvals(a, p, ws)[:, None, :])
+    assert (np.sort(D.argmin(axis=2), axis=1) == np.arange(2)).all()
+    assert D.min(axis=2).max() <= 1e-12
+
+
 def test_row_blocks_do_not_change_the_rows(monkeypatch):
     # 64 rows in one block and in blocks of 5, with row 37 forced to the
     # eigensolver
@@ -262,7 +286,7 @@ def test_unsettled_rows_go_to_the_eigensolver(monkeypatch, R, N, force):
     real = numerics.aberth_rows
 
     def forced(a, p, ws, Z0):
-        if np.array_equal(np.broadcast_to(Z0, (len(ws), p.size)), p + a / ws[:, None]):
+        if np.array_equal(np.broadcast_to(Z0, (len(ws), p.size)), numerics._cold_start(a, p, ws)):
             cold_rows.append(len(ws))
             if force == "coincident":
                 Z0 = np.full(p.size, p[0] + 1.0)  # every root starts at one point

@@ -7,12 +7,16 @@ runs bounds_sequence and verdict at the default resolution, then trace again
 at the N the bounds ended on.  That happens twice, in two fresh interpreters:
 once on this checkout's src/ and once on BASE_REF's src/, which `git archive`
 extracts into a temporary directory.  For each workload the report gives the
-largest |delta| of the bound rows, of quad_error, of the nodes z and of the
-speeds, and whether every output is the same to the bit; below it, one line
-per map whose N, certified flag or verdict changed, or whose job failed on
-one side.
+largest |delta| of the bound rows (in two columns: the maps whose base run is
+certified, and the others), of quad_error, of the nodes z and of the speeds,
+and whether every output is the same to the bit; below it, one line per map
+whose N, certified flag or verdict changed, or whose job failed on one side,
+and two verdicts: whether every output is bit-identical, and whether the
+change is within roundoff, that is N, the certified flag and the verdict are
+unchanged on every map, no job failed on one side only, and every certified
+map's rows moved by at most ROWS_TOL.
 
-Exit status: 0 when every output is bit-identical, 1 when any differs, 2 when
+Exit status: 0 when the change is within roundoff, 1 when it is not, 2 when
 BASE_REF cannot be extracted.  BLAS thread settings pass through from the
 environment.
 """
@@ -29,6 +33,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BANK = ROOT / "pipebench" / "bank.json"
 FLOATS = ("rows", "quad_error", "z", "speed")
+# the report's columns: FLOATS with the rows split by the base's certified flag
+COLUMNS = ("rows_cert", "rows_uncert", "quad_error", "z", "speed")
+# how far a certified map's rows may move for the change to count as roundoff
+ROWS_TOL = 1e-13
 
 
 def dump(src, out):
@@ -83,36 +91,49 @@ def extract(ref, into):
 
 
 def compare(base, head):
-    """Print the per-workload table and the changed maps; True when every
-    output is bit-identical."""
-    table, notes, same_all = {}, [], True
+    """Print the per-workload table, the changed maps and both verdicts.
+    Returns True when no map's N, certified flag or verdict changed, no job
+    failed on one side only, and every certified map's rows moved by at most
+    ROWS_TOL."""
+    table, notes, same_all, changed = {}, [], True, False
     for key in head:  # both sides ran the one bank
         workload, map_id = key.split("/")
-        row = table.setdefault(workload, {"maps": 0, "same": True, **{f: 0.0 for f in FLOATS}})
+        row = table.setdefault(workload, {"maps": 0, "same": True, **{f: 0.0 for f in COLUMNS}})
         row["maps"] += 1
         b, h = base[key], head[key]
         if "error" in b or "error" in h:
             eb, eh = str(b.get("error", "ok")), str(h.get("error", "ok"))
             if eb != eh:
                 notes.append(f"{map_id}: {eb} -> {eh}")
+                changed = True
             row["same"] &= eb == eh
             continue
         for field in ("N", "certified", "verdict"):
             if b[field].tobytes() != h[field].tobytes():
                 notes.append(f"{map_id}: {field} {b[field]} -> {h[field]}")
+                changed = True
         for field in FLOATS:
-            if b[field].shape == h[field].shape:
-                row[field] = max(row[field], float(np.abs(h[field] - b[field]).max()))
+            if b[field].shape != h[field].shape:  # z and speed when N changed
+                continue
+            col = field if field != "rows" else "rows_cert" if b["certified"] else "rows_uncert"
+            d = float(np.abs(h[field] - b[field]).max())
+            row[col] = max(row[col], d if d == d else np.inf)  # a NaN counts as a change
         row["same"] &= all(b[f].shape == h[f].shape and b[f].tobytes() == h[f].tobytes() for f in b)
-    print(f"{'workload':10s} {'maps':>4s} {'|drow|':>9s} {'|dquad|':>9s} {'|dz|':>9s} "
-          f"{'|dspeed|':>9s}  bit-identical")
+    print(f"{'workload':10s} {'maps':>4s} {'|drow| c':>9s} {'|drow| u':>9s} {'|dquad|':>9s} "
+          f"{'|dz|':>9s} {'|dspeed|':>9s}  bit-identical")
     for workload, row in table.items():
-        print(f"{workload:10s} {row['maps']:4d} " + " ".join(f"{row[f]:9.2e}" for f in FLOATS)
+        print(f"{workload:10s} {row['maps']:4d} " + " ".join(f"{row[f]:9.2e}" for f in COLUMNS)
               + f"  {'yes' if row['same'] else 'no'}")
         same_all &= row["same"]
+    print("(|drow| c: maps certified at the base; |drow| u: the others)")
     for note in notes:
         print(note)
-    return same_all
+    worst = max(row["rows_cert"] for row in table.values())
+    ok = not changed and worst <= ROWS_TOL
+    print(f"bit-identical: {'yes' if same_all else 'no'}")
+    print(f"within roundoff: {'pass' if ok else 'fail'} (certified |drow| {worst:.2e} against "
+          f"{ROWS_TOL:.0e}, N/certified/verdict {'changed' if changed else 'unchanged'})")
+    return ok
 
 
 def main(argv=None):
