@@ -1,7 +1,7 @@
 """capax: certified two-sided analytic capacity bounds for the sublevel sets
 {|R(z)| >= 1} of rational maps in partial-fraction form."""
 
-from .boundary import BoundaryCurve, BoundarySampling, emit_csv, emit_svg, quad_inner, trace
+from .boundary import BoundaryCurve, BoundarySampling, emit_csv, emit_svg, trace
 from .capacity import (
     Ahlfors,
     AhlforsVerdict,
@@ -20,7 +20,6 @@ from .closedform import (
     degree2_classify,
     interval_ahlfors,
     interval_capacity,
-    positive_residue_path,
     real_family_classify,
     rotational_amplitude_bound,
     rotational_map,
@@ -36,7 +35,6 @@ from .errors import (
     NonConvergence,
     OnSlit,
     ParseError,
-    PoleCollision,
     PoleHit,
     TrackingAmbiguity,
 )

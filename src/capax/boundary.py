@@ -36,9 +36,11 @@ horizontal line.
 A real map, every residue and pole with imaginary part exactly 0, has
 R(conj z) = conj R(z), so the roots at 2pi - t are the conjugates of the
 roots at t.  Its trace solves the anchors and fill rows of t in [0, pi]
-only and sets raw row N - i to the conjugate of raw row i; the walk, the
-speeds and the windings then run on all N rows.  Its sampling is marked
-conjugate_symmetric, and every curve has z[N - i] == conj(z[i]) exactly.
+only and sets raw row N - i to the conjugate of raw row i; the walk and
+the windings then run on all N rows, and the speeds on rows 0..N/2, whose
+values rows N/2..N take in mirror order.  Its sampling is marked
+conjugate_symmetric, and every curve has z[N - i] == conj(z[i]) and
+speed[N - i] == speed[i] exactly, so the node weights mirror too.
 Every other map, a conjugation-closed one with complex poles included,
 solves all N rows.
 
@@ -85,6 +87,7 @@ class BoundarySampling:
     total_arclength: float
     weights: np.ndarray  # (n, N) trapezoid weights, row c for curves[c]
     # set by trace for a real map: every curve has z[N - i] == conj(z[i])
+    # and speed[N - i] == speed[i]
     conjugate_symmetric: bool = False
 
     def nodes(self):
@@ -350,13 +353,16 @@ def _trace(R, N):
     # close to a neighboring component).
     Z = _order_chain(Z, ts, solver)
 
-    # |dz/dt| = 1/|R'| with R' = -sum a/(z - p)^2, one row block at a time;
-    # no pole-proximity guard (pf_rows_ok fails a root at a pole)
+    # |dz/dt| = 1/|R'| with R' = -sum a/(z - p)^2, one row block at a time,
+    # on the solved rows; no pole-proximity guard (pf_rows_ok fails a root
+    # at a pole).  A real map's speeds mirror like its nodes.
     speed = np.empty(Z.shape)
-    for b in numerics._row_blocks(N, n):
+    for b in numerics._row_blocks(M, n):
         inv = np.subtract(Z[b].reshape(-1, 1), R.poles)  # one flat (rows * n, n) product
         np.divide(1.0, inv, out=inv)
         speed[b] = (1.0 / np.abs(np.square(inv, out=inv) @ R.residues)).reshape(-1, n)
+    if real:
+        speed[M:] = speed[N // 2 - 1 : 0 : -1]
     curves = []
     for c, w in enumerate(_windings(Z.T, R.poles)):
         inside = np.flatnonzero(np.abs(w) == 1)
@@ -385,17 +391,6 @@ def _trace(R, N):
     return BoundarySampling(
         curves=curves, N=N, total_arclength=total, weights=weights, conjugate_symmetric=real
     )
-
-
-def quad_inner(sampling, f, g):
-    """(1/2pi) integral of f * conj(g) |dz| over all curves, by the periodic
-    trapezoid rule.  f and g must accept complex ndarrays."""
-    total = 0.0 + 0.0j
-    for c, lam in zip(sampling.curves, sampling.weights):
-        fv = np.asarray(f(c.z), dtype=np.complex128)
-        gv = np.asarray(g(c.z), dtype=np.complex128)
-        total += (fv * np.conj(gv) * lam).sum()
-    return complex(total)
 
 
 def emit_csv(sampling):

@@ -27,10 +27,11 @@ monotone in k by construction:
 
 The quadrature weights lam are folded into the basis: row (p, j) holds
 sqrt(lam) (z - p)^{-j}, built by cumulative products from the row
-sqrt(lam) of the constant function 1.  The array is laid out by grid index
-mod 4, one C-contiguous (1 + m, nodes/4) block per class.  Each complex row
-is split in place into its real and imaginary rows, so the class block
-becomes a real (2 + 2m, nodes/4) matrix X, and X X^T is one real symmetric
+sqrt(lam) of the constant function 1.  For a complex Gram the array is laid
+out by grid index mod 4, one C-contiguous (1 + m, nodes/4) block per class,
+over all N rows of each curve.  Each complex row is split in place into its
+real and imaginary rows, so the class block becomes a real
+(2 + 2m, nodes/4) matrix X, and X X^T is one real symmetric
 rank-k update (BLAS syrk, through numpy's matmul) per class, with the same
 flops as the complex Hermitian one.  Its (m, m) blocks P_uv are the products
 of the real (e) and imaginary (o) parts, and the complex Gram is
@@ -39,21 +40,30 @@ symmetric; its row 0, of the constant function, gives conj(w).  The factor
 and both triangular solves are plain numpy for either dtype: Cholesky, then
 blockwise exact substitution.
 
-A real map's nodes are conjugate-symmetric (boundary.trace): the node at
-2pi - t is the conjugate of the node at t, with the same weight.  For a real
-S every element then has phi(conj z) = conj phi(z), so over each conjugate
-pair of nodes the complex Gram, and w, are real, on each of the three grids,
-and the system is real (float64).  Its products need no split: row r of the
-float64 view of the complex class block interleaves Re and Im of element r,
-so one product of that (1 + m, nodes/2) view with its transpose is the real
-part of the complex Gram, half the flops of the split product.
+A real map's nodes are conjugate-symmetric (boundary.trace): node N - i is
+the conjugate of node i on the same curve, with the same weight.  For a real
+S every element then has phi(conj z) = conj phi(z), so a conjugate pair of
+nodes adds twice the real part of one node's term: the complex Gram and w are
+real on each of the three grids, and the system is real (float64).  Its basis
+is evaluated only on the half of the circle that trace solved, rows 0..N/2 of
+each curve, with the scale sqrt(2 lam) on a row that stands for a conjugate
+pair and sqrt(lam) on the self-conjugate rows 0 and N/2.  One (1 + m,
+n (N/2 + 1)) array holds class 0 (rows 0 mod 4), then class 2, then the odd
+rows, each over all curves.  Its products need no split: row r of its float64
+view interleaves Re and Im of element r, so the product of a class's column
+slice with its transpose is the real part of that class's complex Gram.  The
+real Gram thus costs half the basis values and half the product flops of the
+same view over all N rows, and a quarter of the split products.
 
 The class Grams C_0..C_3 give the trapezoid Grams of the nested grids for
 free: C_N = C_0 + C_1 + C_2 + C_3, C_{N/2} = 2 (C_0 + C_2) and C_{N/4} =
-4 C_0, and likewise for w and c0.  The computed extremal functions
-g_k = 1 - sum x phi and h_k = sum z phi are fixed functions whose norms the
-rows are, so the change of a row from N to N/2 and from N/2 to N/4 is a
-quadratic form in the difference systems, with no second factorization.  The
+4 C_0, and likewise for w and c0.  On a real map conjugation maps classes 0
+and 2 to themselves and classes 1 and 3 to each other, so C_1 = C_3, and the
+three half-grid products C_0, C_2 and C_odd = C_1 + C_3 give all three
+systems.  The computed extremal functions g_k = 1 - sum x phi and
+h_k = sum z phi are fixed functions whose norms the rows are, so the change
+of a row from N to N/2 and from N/2 to N/4 is a quadratic form in the
+difference systems, with no second factorization.  The
 largest such change over all rows is the quadrature-error estimate
 quad_error, and a run is certified only when it is at most QUAD_TOL.  With
 N=None the trace starts at the resolution chosen from the critical values
@@ -106,7 +116,8 @@ class GramSystem:
     """The Gram system of m basis elements, one slot per element: entry r
     belongs to element r, whose coefficient c_r enters as x_r = conj(c_r).
     G and w are complex, or real (float64) on conjugate-symmetric nodes with
-    a real S, where the complex Gram and w are real."""
+    a real S, where the complex Gram and w are real and come from the basis
+    on rows 0..N/2 of each curve alone."""
 
     G: np.ndarray  # (m, m) Hermitian, positive definite up to roundoff
     w: np.ndarray  # (m,)  <phi_r, 1>
@@ -198,38 +209,78 @@ def _hermitian(P):
     return H
 
 
+def _hermitian_products(sampling, basis):
+    """The complex Grams of grid N and of the changes to N/2 and N/4,
+    stacked (3, 1 + m, 1 + m), from the basis on all N rows by class mod 4."""
+    z = np.stack([c.z for c in sampling.curves])
+    B = _basis_values(basis.S, basis.k, _by_class(z), _by_class(np.sqrt(sampling.weights)))
+    X = _split_rows(B)
+    # X[c] @ X[c].T is a symmetric rank-k update (BLAS syrk) of class c
+    P = X @ X.transpose(0, 2, 1)
+    # in place: P[0] <- grid N, C_0 + C_1 + C_2 + C_3; P[1] <- the change
+    # to N/2, C_0 - C_1 + C_2 - C_3; P[2] <- the change from N/2 to N/4,
+    # 2 (C_0 - C_2); each one exactly symmetric
+    np.add(P[1], P[3], out=P[3])
+    np.add(P[0], P[2], out=P[1])
+    np.subtract(P[0], P[2], out=P[2])
+    P[2] *= 2.0
+    np.add(P[1], P[3], out=P[0])
+    np.subtract(P[1], P[3], out=P[1])
+    return _hermitian(P[:3])
+
+
+def _half_grid(a, h):
+    """A real map's solved half of the (n, 2h) per-curve rows a, flat: of rows
+    0..h, class 0 (rows = 0 mod 4, the self-conjugate rows 0 and h among
+    them), then class 2, then the odd rows, each class over all curves."""
+    return np.concatenate((a[:, : h + 1 : 4], a[:, 2:h:4], a[:, 1:h:2]), axis=None)
+
+
+def _real_products(sampling, basis):
+    """A real map's Grams of grid N and of the changes to N/2 and N/4,
+    stacked (3, 1 + m, 1 + m), from the basis on rows 0..N/2 only.
+
+    Node N - i is the conjugate of node i with the same weight, and
+    phi(conj z) = conj phi(z) for a real S, so a pair of nodes adds twice
+    the real part of one node's term: a row i < N/2 stands for its pair with
+    the scale sqrt(2 lam), and rows 0 and N/2, their own conjugates, keep
+    sqrt(lam).  Classes 0 and 2 fold into themselves and classes 1 and 3
+    into each other (C_1 = C_3), so the real products C_0, C_2 and C_odd of
+    the half grid give C_0 + C_2 + C_odd at N, C_0 + C_2 - C_odd for the
+    change to N/2 and 2 (C_0 - C_2) for the change from N/2 to N/4."""
+    lam, h = sampling.weights, sampling.N // 2
+    pair = 2.0 * lam
+    pair[:, ::h] = lam[:, ::h]
+    z = np.stack([c.z for c in sampling.curves])
+    B = _basis_values(basis.S, basis.k, _half_grid(z, h), np.sqrt(_half_grid(pair, h)))
+    # per curve, class 0 has h/4 + 1 rows and class 2 has h/4; a complex
+    # column is two columns of the float view, whose row r interleaves Re
+    # and Im of element r, so the product of a class's columns with their
+    # transpose (BLAS syrk) is the real part of its complex Gram
+    n = len(lam)
+    cuts = (2 * n * (h // 4 + 1), 2 * n * (h // 2 + 1))
+    C0, C2, Codd = (X @ X.T for X in np.split(B.view(np.float64), cuts, axis=1))
+    even = C0 + C2
+    return np.stack((even + Codd, even - Codd, 2.0 * (C0 - C2)))
+
+
 def assemble_gram(sampling, basis):
     """Quadrature-level Gram system for one basis, with the difference
     systems of the nested grids N/2 and N/4 in its steps.
 
-    Row 0 of the basis array is the constant function 1, so one product per
-    class gives the Gram together with conj(w) in row 0.  The system is real
-    on conjugate-symmetric nodes with a real S and complex Hermitian
-    otherwise (see GramSystem)."""
+    Row 0 of the basis array is the constant function 1, so the class
+    products give the Gram together with conj(w) in row 0.  On
+    conjugate-symmetric nodes with a real S the system is real and the basis
+    is evaluated on the solved half of the circle, rows 0..N/2 of each curve
+    (_real_products); otherwise it is complex Hermitian, from all N rows by
+    class mod 4 (see GramSystem)."""
     _check_poles_inside(sampling, basis.S)
-    z, lam = sampling.nodes()
-    shape = sampling.weights.shape
-    root = _by_class(np.sqrt(lam).reshape(shape))
+    lam, shape = sampling.weights.ravel(), sampling.weights.shape
     real = sampling.conjugate_symmetric and not basis.S.imag.any()
     # a high power of a small residue's basis element can overflow; the
     # Gram is then not finite, which is checked once below
     with np.errstate(over="ignore", invalid="ignore"):
-        B = _basis_values(basis.S, basis.k, _by_class(z.reshape(shape)), root)
-        # real: row r of the float view interleaves Re and Im of element r,
-        # so X X^T is the real part of the complex Gram, the whole Gram there
-        X = B.view(np.float64) if real else _split_rows(B)
-        # X[c] @ X[c].T is a symmetric rank-k update (BLAS syrk) of class c
-        P = X @ X.transpose(0, 2, 1)
-        # in place: P[0] <- grid N, C_0 + C_1 + C_2 + C_3; P[1] <- the change
-        # to N/2, C_0 - C_1 + C_2 - C_3; P[2] <- the change from N/2 to N/4,
-        # 2 (C_0 - C_2); each one exactly symmetric
-        np.add(P[1], P[3], out=P[3])
-        np.add(P[0], P[2], out=P[1])
-        np.subtract(P[0], P[2], out=P[2])
-        P[2] *= 2.0
-        np.add(P[1], P[3], out=P[0])
-        np.subtract(P[1], P[3], out=P[1])
-        G = P[:3] if real else _hermitian(P[:3])
+        G = (_real_products if real else _hermitian_products)(sampling, basis)
     if not np.isfinite(G).all():
         raise IllConditioned(f"the Gram at k = {basis.k} is not finite: the basis overflows")
     c = lam.reshape(shape[0], -1, 4).sum(axis=(0, 1))

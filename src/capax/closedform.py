@@ -2,9 +2,8 @@
 
 Covered here: finite unions of real slits (capacity = total length / 4 and an
 explicit extremal function), the rotationally symmetric family
-a z^{n-1} / (z^n - 1), the complete degree-2 classification, real-pole maps
-with a sign criterion, and the three-stage deformation joining any two
-all-positive-residue maps through good maps with positive residues.
+a z^{n-1} / (z^n - 1), the complete degree-2 classification, and real-pole
+maps with a sign criterion.
 """
 
 import enum
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeOutOfRange, OnSlit, PoleCollision
+from .errors import AmplitudeOutOfRange, OnSlit
 from .ratmap import Goodness, RationalMapPF, is_n_good
 
 SLIT_DIST = 1e-12
@@ -131,91 +130,3 @@ def real_family_classify(R):
     if np.all(R.residues.real > 0):
         return FamilyVerdict.AHLFORS
     return FamilyVerdict.NOT_AHLFORS
-
-
-def _require_positive_real(R, name):
-    if np.abs(R.residues.imag).max() > _REAL_TOL or np.any(R.residues.real <= 0):
-        raise ValueError(f"{name} map must have positive real residues")
-    if is_n_good(R).status is not Goodness.GOOD:
-        raise ValueError(f"{name} map must classify as good")
-
-
-def _default_pole_path(p0, p1):
-    """Coordinatewise straight lines; a colliding pair gets the higher-index
-    coordinate rerouted through midpoint + 0.1i * index."""
-    n = p0.size
-    bump = np.zeros(n, dtype=np.complex128)
-    for j in range(n):
-        for k in range(j):
-            d0 = (p0[j] + bump[j] * 0.5) - (p0[k] + bump[k] * 0.5)
-            d1 = (p1[j] + bump[j] * 0.5) - (p1[k] + bump[k] * 0.5)
-            dd = d1 - d0
-            if abs(dd) < 1e-300:
-                s = 0.0
-            else:
-                s = min(1.0, max(0.0, -(d0 * dd.conjugate()).real / abs(dd) ** 2))
-            if abs(d0 + s * dd) < 1e-8:
-                bump[j] += 0.1j * j
-
-    def alpha(s):
-        line = (1.0 - s) * p0 + s * p1
-        # piecewise-linear tent through the midpoint offset
-        tent = 1.0 - abs(2.0 * s - 1.0)
-        return line + tent * bump
-
-    return alpha
-
-
-def positive_residue_path(start, end, eps, samples=61, pole_path=None):
-    """Deformation from start to end through maps with positive residues.
-
-    Three stages: shrink the start residues linearly to sup-norm eps on
-    [0, 1/3]; interpolate poles (and the eps-small residues) on (1/3, 2/3);
-    grow to the end residues on [2/3, 1].  Start and end are returned exactly
-    at t = 0 and t = 1.  Goodness along the way holds for small enough eps
-    and is the caller's thing to verify sample by sample.
-
-    Raises PoleCollision when any sample would put two poles within the
-    distinctness threshold.
-    """
-    _require_positive_real(start, "start")
-    _require_positive_real(end, "end")
-    if start.n != end.n:
-        raise ValueError("start and end must have the same degree")
-    eps = float(eps)
-    min_res = min(start.residues.real.min(), end.residues.real.min())
-    if not 0.0 < eps <= min_res:
-        raise ValueError(f"eps must lie in (0, {min_res}] (the smallest residue)")
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    a0, a1 = start.residues.real, end.residues.real
-    p0, p1 = start.poles, end.poles
-    mu13 = eps / a0.max()
-    nu23 = eps / a1.max()
-    alpha = pole_path if pole_path is not None else _default_pole_path(p0, p1)
-    path = []
-    for t in np.linspace(0.0, 1.0, samples):
-        if t == 0.0:
-            path.append(start)
-            continue
-        if t == 1.0:
-            path.append(end)
-            continue
-        if t <= 1.0 / 3.0:
-            mu = 1.0 + 3.0 * t * (mu13 - 1.0)
-            res, poles = mu * a0, p0
-        elif t < 2.0 / 3.0:
-            s = 3.0 * t - 1.0
-            res = (2.0 - 3.0 * t) * mu13 * a0 + (3.0 * t - 1.0) * nu23 * a1
-            poles = np.asarray(alpha(s), dtype=np.complex128)
-        else:
-            nu = nu23 + (3.0 * t - 2.0) * (1.0 - nu23)
-            res, poles = nu * a1, p1
-        try:
-            path.append(
-                RationalMapPF(residues=res.astype(np.complex128), poles=poles)
-            )
-        except Exception as exc:
-            raise PoleCollision(f"pole paths collide at t = {t:.6f}: {exc}") from exc
-    return path

@@ -42,10 +42,6 @@ class OnSlit(CapaxError):
     """Evaluation point lies on (or numerically on) the slit set."""
 
 
-class PoleCollision(CapaxError):
-    """Pole interpolation path self-intersects at a sample."""
-
-
 class ParseError(CapaxError):
     """Map expression text violates the grammar.
 

@@ -81,17 +81,6 @@ def test_weights_are_speed_over_n():
         assert np.array_equal(lam, curve.speed / sampling.N)
 
 
-def test_quad_inner_is_hermitian():
-    rng = np.random.default_rng(37)
-    R = random_good_map(rng, 2)
-    sampling = boundary.trace(R, N=256)
-    f = lambda z: 1.0 / (z - R.poles[0])
-    g = lambda z: 1.0 / (z - R.poles[1]) ** 2
-    fg = boundary.quad_inner(sampling, f, g)
-    gf = boundary.quad_inner(sampling, g, f)
-    assert abs(fg - np.conj(gf)) < 1e-14
-
-
 def test_component_count_and_node_quality():
     rng = np.random.default_rng(41)
     for _ in range(4):
@@ -128,25 +117,28 @@ def test_real_symmetric_maps_have_conjugate_closed_nodes():
     assert np.max(dist) < 1e-8
 
 
+# sixteen real poles, equally spaced on [-2, 2), with equal positive residues
+REAL_POLES_16 = RationalMapPF(np.full(16, 0.3 / 16), -2.0 + 4.0 * np.arange(16) / 16)
+
+
 @pytest.mark.parametrize("R, real", [
     *[pytest.param(lambda k=k: example_map(k), k <= 3, id=f"example{k}") for k in range(1, 7)],
-    pytest.param(
-        lambda: RationalMapPF(np.full(16, 0.3 / 16), -2.0 + 4.0 * np.arange(16) / 16),
-        True,
-        id="real-poles-16",
-    ),
+    pytest.param(lambda: REAL_POLES_16, True, id="real-poles-16"),
 ])
 def test_real_maps_have_exactly_conjugate_nodes(R, real):
     # a real map solves t in [0, pi] only: the node at 2pi - t is the
-    # conjugate of the node at t on the same curve, bit for bit.  Example 5
-    # is closed under conjugation but not real, and example 4's poles are
-    # conjugate only to roundoff: they solve the whole circle.
+    # conjugate of the node at t on the same curve, and its speed and weight
+    # are those at t, bit for bit.  Example 5 is closed under conjugation but
+    # not real, and example 4's poles are conjugate only to roundoff: they
+    # solve the whole circle.
     sampling = boundary.trace(R())
     assert sampling.conjugate_symmetric == real
     N, i = sampling.N, np.arange(1, sampling.N // 2)
     if real:
-        for curve in sampling.curves:
+        for curve, lam in zip(sampling.curves, sampling.weights):
             assert np.array_equal(curve.z[N - i], np.conj(curve.z[i]))
+            assert np.array_equal(curve.speed[N - i], curve.speed[i])
+            assert np.array_equal(lam[N - i], lam[i])
 
 
 def test_rotational_symmetry_of_curves():

@@ -15,7 +15,7 @@ from capax.errors import EmptyBasis, IllConditioned
 from capax.ratmap import RationalMapPF, affine_conjugate
 
 from conftest import random_good_map
-from test_boundary import DEGREE16_0, MARGIN_8E_9, MARGINAL_AMBIGUOUS, SEVEN_POLE
+from test_boundary import DEGREE16_0, MARGIN_8E_9, MARGINAL_AMBIGUOUS, REAL_POLES_16, SEVEN_POLE
 
 BANK_PATH = Path(__file__).resolve().parents[1] / "pipebench" / "bank.json"
 
@@ -288,16 +288,25 @@ def degree16_sampling():
 
 
 @pytest.mark.parametrize(
-    "example, kmax",
-    [(1, max(REFERENCE_BOUNDS[1])), (2, 40), (6, max(REFERENCE_BOUNDS[6])), (None, 4)],
-    ids=["example1", "example2", "example6", "degree16-0"],
+    "R, N, kmax",
+    [
+        (lambda: example_map(1), 1024, max(REFERENCE_BOUNDS[1])),
+        (lambda: example_map(2), 1024, 40),
+        (lambda: example_map(6), 1024, max(REFERENCE_BOUNDS[6])),
+        # the smallest grid: a real map's class 0 has 9 rows per curve, the
+        # two self-conjugate rows among them
+        (lambda: REAL_POLES_16, 64, 4),
+        (None, 4096, 4),
+    ],
+    ids=["example1", "example2", "example6", "real-poles-16-N64", "degree16-0"],
 )
-def test_gram_matches_plain_assembly(example, kmax, degree16_sampling):
-    if example is None:
+def test_gram_matches_plain_assembly(R, N, kmax, degree16_sampling):
+    if R is None:
         R, sampling = degree16_sampling
     else:
-        R = example_map(example)
-        sampling = boundary.trace(R, N=1024)
+        R = R()
+        sampling = boundary.trace(R, N=N)
+    assert sampling.N == N
     basis = capacity.enumerate_basis(R, kmax)
     gram = capacity.assemble_gram(sampling, basis)
     G, w, c0 = _reference_gram(sampling, basis)
@@ -382,6 +391,26 @@ def test_real_slots_give_the_rows_of_both_slots(example, monkeypatch):
     both = capacity.bounds_sequence(R, kmax)
     assert real.certified and both.certified and real.N == both.N
     assert np.abs(np.array(real.rows) - np.array(both.rows)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("R, real", [(lambda: example_map(1), True), (lambda: example_map(5), False)],
+                         ids=["example1", "example5"])
+def test_real_maps_evaluate_the_basis_on_half_the_circle(R, real, monkeypatch):
+    # a real map's basis takes rows 0..N/2 of each curve; any other map's
+    # takes all N
+    columns = []
+    basis_values = capacity._basis_values
+
+    def recording(S, k, z, scale):
+        columns.append(z.size)
+        return basis_values(S, k, z, scale)
+
+    monkeypatch.setattr(capacity, "_basis_values", recording)
+    R = R()
+    sampling = boundary.trace(R, N=256)
+    capacity.assemble_gram(sampling, capacity.enumerate_basis(R, 3))
+    assert sampling.conjugate_symmetric == real
+    assert columns == [len(sampling.curves) * (129 if real else 256)]
 
 
 def test_gram_assembly_holds_one_basis_matrix(degree16_sampling):

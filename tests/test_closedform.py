@@ -1,11 +1,11 @@
-"""Exactly solvable families: slits, rotational maps, classifiers, paths."""
+"""Exactly solvable families: slits, rotational maps, classifiers."""
 
 import numpy as np
 import pytest
 
 from capax import closedform
 from capax.closedform import FamilyVerdict, IntervalSet
-from capax.errors import AmplitudeOutOfRange, OnSlit, PoleCollision
+from capax.errors import AmplitudeOutOfRange, OnSlit
 from capax.ratmap import RationalMapPF, critical_data, is_n_good
 from capax.ratmap import Goodness
 
@@ -134,62 +134,3 @@ def test_real_family_classify():
     assert closedform.real_family_classify(complex_pole) is FamilyVerdict.NOT_APPLICABLE
     loud = RationalMapPF([5.0, 5.0], [-1.0, 1.0])  # not good
     assert closedform.real_family_classify(loud) is FamilyVerdict.NOT_APPLICABLE
-
-
-def path_endpoints(shift=5.0):
-    start = RationalMapPF([0.3, 0.2, 0.25], [-2.0, 0.0, 1.5])
-    end = RationalMapPF([0.22, 0.4, 0.18], [-2.0 + shift, 0.0 + shift, 1.5 + shift])
-    return start, end
-
-
-def test_positive_residue_path_endpoints_and_stages():
-    start, end = path_endpoints()
-    eps = 0.05
-    path = closedform.positive_residue_path(start, end, eps, samples=61)
-    assert len(path) == 61
-    assert path[0] is start and path[-1] is end
-    # At t = 1/3 (sample 20 of 61) the residues have shrunk to sup-norm eps.
-    third = path[20]
-    assert third.residues.real.max() == pytest.approx(eps, abs=1e-15)
-    assert np.allclose(third.poles, start.poles)
-    for R in path:
-        assert np.all(R.residues.real > 0)
-        assert np.max(np.abs(R.residues.imag)) == 0.0
-
-
-def test_positive_residue_path_stays_good():
-    start, end = path_endpoints()
-    path = closedform.positive_residue_path(start, end, 0.05, samples=31)
-    for R in path:
-        assert is_n_good(R).status is Goodness.GOOD
-
-
-def test_positive_residue_path_default_reroute_avoids_crossing():
-    # Straight pole lines would cross at the midpoint; the default path
-    # reroutes the second pole through an imaginary offset.
-    start = RationalMapPF([0.2, 0.2], [0.0, 2.0])
-    end = RationalMapPF([0.2, 0.2], [2.0, 0.0])
-    path = closedform.positive_residue_path(start, end, 0.05, samples=41)
-    for R in path:
-        assert np.abs(R.poles[0] - R.poles[1]) > 1e-3
-
-
-def test_positive_residue_path_explicit_collision():
-    start = RationalMapPF([0.2, 0.2], [0.0, 2.0])
-    end = RationalMapPF([0.2, 0.2], [2.0, 0.0])
-    crossing = lambda s: np.array([2.0 * s, 2.0 - 2.0 * s], dtype=np.complex128)
-    with pytest.raises(PoleCollision):
-        closedform.positive_residue_path(start, end, 0.05, samples=41, pole_path=crossing)
-
-
-def test_positive_residue_path_validation():
-    start, end = path_endpoints()
-    with pytest.raises(ValueError):
-        closedform.positive_residue_path(start, end, 0.0)
-    with pytest.raises(ValueError):
-        closedform.positive_residue_path(start, end, 1.0)  # above min residue
-    with pytest.raises(ValueError):
-        closedform.positive_residue_path(start, RationalMapPF([0.2], [0.0]), 0.05)
-    neg = RationalMapPF([0.3, -0.2], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        closedform.positive_residue_path(neg, end, 0.05)
